@@ -20,6 +20,16 @@ local and Spark engines) that see the same ``(model.seed, sample, t,
 ζ, u', u, x, y)`` tuples draw the same uniforms — marginal-gain
 estimates get common random numbers for free.
 
+Samples are independent, so :func:`simulate` steps a *block* of them
+together: ``state.adopted[s0:s1]`` is viewed as ``[n·U, I]`` and a
+frontier pair is a row ``g = s·U + u`` (``s`` block-local) and an item.
+A block holds at most ``BLOCK_ROWS`` user rows (at least one sample);
+the per-event ``[events, I]`` arrays and the preference rows are
+formed ``CHUNK_ROWS`` at a time, which bounds memory. Neither size
+changes a result: every draw is keyed by the global sample index, each
+row's state is its own, and the kernels give the same bits for any
+batch (DESIGN.md §2, "Exactness of the batched engine").
+
 ``frozen=True`` freezes ``P_pref``/``P_act``/``r^C`` at their initial
 (nothing-adopted) values and skips weight updates — this is the static
 evaluation Sec. IV-B prescribes for the MCP nominee score ``f`` and
@@ -33,8 +43,13 @@ import numpy as np
 
 from repro.dynamics import kernels
 from repro.dynamics.state import ModelData, WorldState, init_state
+from repro.rng import fold, u01_from
 
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
+BLOCK_ROWS = 2048  # user rows (samples × users) stepped together
+CHUNK_ROWS = 1024  # events, or missing preference rows, per vectorized pass
+
+_EMPTY = np.empty(0, np.int64)
 
 
 @dataclass
@@ -53,15 +68,53 @@ class SimResult:
     sigma_by_t: np.ndarray
 
 
-def _group_seeds(seeds, T: int) -> dict[int, list[tuple[int, int]]]:
+def _group_seeds(
+    model: ModelData, seeds, T: int, n_samples: int
+) -> dict[int, list[tuple[int, int]]]:
+    """Seed pairs by promotion, sorted; rejects inputs no engine can run.
+
+    Raises ``ValueError`` for ``n_samples < 1``, a timing outside
+    ``[1, T]``, a user or item id out of range, and a ``(user, item)``
+    pair listed twice in one promotion.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     by_t: dict[int, list[tuple[int, int]]] = {}
     for u, x, t in seeds:
         if not 1 <= t <= T:
             raise ValueError(f"seed timing {t} outside [1, {T}]")
+        if not 0 <= u < model.n_users:
+            raise ValueError(f"seed user {u} outside [0, {model.n_users})")
+        if not 0 <= x < model.n_items:
+            raise ValueError(f"seed item {x} outside [0, {model.n_items})")
         by_t.setdefault(int(t), []).append((int(u), int(x)))
-    for t in by_t:
-        by_t[t].sort()
+    for t, pairs in by_t.items():
+        pairs.sort()
+        for a, b in zip(pairs, pairs[1:]):
+            if a == b:
+                raise ValueError(f"seed pair {a} listed twice in promotion {t}")
     return by_t
+
+
+@dataclass
+class _Block:
+    """Samples ``s0 … s0+n−1`` of a run, as rows ``g = s·U + u``.
+
+    ``adopted``/``wc``/``ws``/``adopt_t`` are ``[n·U, ·]`` views into
+    the run's arrays. ``pref`` caches ``P_pref`` rows in dynamic mode;
+    ``pref_ok`` marks the rows still current (a row goes stale when its
+    user adopts or re-weights).
+    """
+
+    s0: int
+    n: int
+    adopted: np.ndarray
+    wc: np.ndarray
+    ws: np.ndarray
+    adopt_t: np.ndarray
+    ad_count: np.ndarray
+    pref: np.ndarray
+    pref_ok: np.ndarray
 
 
 def simulate(
@@ -79,9 +132,10 @@ def simulate(
     shifts the random stream (for independent replications); leaving it
     fixed gives common random numbers across seed groups.
     """
-    by_t = _group_seeds(seeds, T)
+    by_t = _group_seeds(model, seeds, T, n_samples)
+    U, I = model.n_users, model.n_items
     state = init_state(model, n_samples)
-    adopt_t = np.zeros((n_samples, model.n_users, model.n_items), dtype=np.int16)
+    adopt_t = np.zeros((n_samples, U, I), dtype=np.int16)
 
     pref0 = act0 = None
     if frozen:
@@ -89,21 +143,22 @@ def simulate(
         pref0 = np.clip(model.base_pref, p.pref_floor, 1.0)
         act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
 
-    for s in range(n_samples):
-        _run_sample(
-            model,
-            state.adopted[s],
-            state.wc[s],
-            state.ws[s],
-            adopt_t[s],
-            by_t,
-            T,
-            s,
-            frozen,
-            pref0,
-            act0,
-            trial_salt,
+    per_block = max(1, BLOCK_ROWS // U)
+    for s0 in range(0, n_samples, per_block):
+        s1 = min(s0 + per_block, n_samples)
+        rows = (s1 - s0) * U
+        blk = _Block(
+            s0=s0,
+            n=s1 - s0,
+            adopted=state.adopted[s0:s1].reshape(rows, I),
+            wc=state.wc[s0:s1].reshape(rows, -1),
+            ws=state.ws[s0:s1].reshape(rows, -1),
+            adopt_t=adopt_t[s0:s1].reshape(rows, I),
+            ad_count=np.zeros(rows, dtype=np.int64),
+            pref=np.empty((0, I) if frozen else (rows, I)),
+            pref_ok=np.zeros(rows, dtype=bool),
         )
+        _run_block(model, blk, by_t, T, frozen, pref0, act0, trial_salt)
 
     per_item = adopt_t > 0  # [M, U, I]
     sigma_by_t = np.zeros(T + 1)
@@ -114,158 +169,141 @@ def simulate(
     return SimResult(state, adopt_t, sigma, sigma_by_t)
 
 
-def _run_sample(
-    model: ModelData,
-    adopted: np.ndarray,
-    wc: np.ndarray,
-    ws: np.ndarray,
-    adopt_t: np.ndarray,
-    by_t: dict[int, list[tuple[int, int]]],
-    T: int,
-    sample: int,
-    frozen: bool,
-    pref0,
-    act0,
-    salt: int,
-) -> None:
-    p = model.params
-    ad_count = adopted.sum(axis=1).astype(np.int64)
-    # Per-user preference rows, invalidated when a user's state changes
-    # (their own adoption or weight update) — recomputed in batches.
-    pref_cache: dict[int, np.ndarray] = {}
-
+def _run_block(model, blk, by_t, T, frozen, pref0, act0, salt) -> None:
+    U = model.n_users
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
-        new_u, new_x = [], []
-        for u, x in by_t.get(t, ()):
-            if not adopted[u, x]:
-                new_u.append(u)
-                new_x.append(x)
-        f_u = np.asarray(new_u, dtype=np.int64)
-        f_x = np.asarray(new_x, dtype=np.int64)
-        _apply_adoptions(
-            model, adopted, wc, ws, ad_count, adopt_t, f_u, f_x, t, frozen, pref_cache
-        )
+        f_g, f_x = _EMPTY, _EMPTY
+        if t in by_t:
+            u, x = np.asarray(by_t[t], dtype=np.int64).T
+            g = (np.arange(blk.n, dtype=np.int64)[:, None] * U + u).ravel()
+            x = np.tile(x, blk.n)
+            new = ~blk.adopted[g, x]
+            f_g, f_x = g[new], x[new]
+        _apply_adoptions(model, blk, f_g, f_x, t, frozen)
 
-        for zeta in range(1, p.max_steps + 1):
-            if len(f_u) == 0:
+        for zeta in range(1, model.params.max_steps + 1):
+            if len(f_g) == 0:
                 break
-            f_u, f_x = _step(
-                model, adopted, wc, ws, ad_count, f_u, f_x,
-                sample, t, zeta, frozen, pref0, act0, salt, pref_cache,
-            )
-            _apply_adoptions(
-                model, adopted, wc, ws, ad_count, adopt_t, f_u, f_x, t, frozen,
-                pref_cache,
-            )
+            f_g, f_x = _step(model, blk, f_g, f_x, t, zeta, frozen, pref0, act0, salt)
+            _apply_adoptions(model, blk, f_g, f_x, t, frozen)
 
 
-def _apply_adoptions(
-    model, adopted, wc, ws, ad_count, adopt_t, f_u, f_x, t, frozen, pref_cache
-):
-    """Record new adoptions, then run the end-of-step weight updates."""
-    if len(f_u) == 0:
+def _apply_adoptions(model, blk, g, x, t, frozen) -> None:
+    """Record new adoptions, then run the end-of-step weight updates.
+
+    ``(g, x)`` are unique and sorted by row, then item.
+    """
+    if len(g) == 0:
         return
-    adopted[f_u, f_x] = True
-    adopt_t[f_u, f_x] = t
-    np.add.at(ad_count, f_u, 1)
-    for u in np.unique(f_u):
-        pref_cache.pop(int(u), None)
-        if frozen:
-            continue
-        items = np.sort(f_x[f_u == u])
-        wc[u], ws[u] = kernels.update_weights(
-            wc[u], ws[u], adopted[u], items, model.s_c, model.s_s, model.params.eta
-        )
-
-
-def _step(
-    model, adopted, wc, ws, ad_count, f_u, f_x,
-    sample, t, zeta, frozen, pref0, act0, salt, pref_cache,
-):
-    """One propagation step; returns the new-adoption frontier pairs."""
-    from repro.rng import u01
-
+    blk.adopted[g, x] = True
+    blk.adopt_t[g, x] = t
+    np.add.at(blk.ad_count, g, 1)
+    if frozen:
+        return
+    blk.pref_ok[g] = False
+    rows, starts = np.unique(g, return_index=True)
+    ends = np.append(starts[1:], len(g))
     p = model.params
-    # Expand frontier pairs over out-edges of the frontier users.
+    for r, a, b in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        blk.wc[r], blk.ws[r] = kernels.update_weights(
+            blk.wc[r], blk.ws[r], blk.adopted[r], x[a:b], model.s_c, model.s_s, p.eta
+        )
+
+
+def _step(model, blk, f_g, f_x, t, zeta, frozen, pref0, act0, salt):
+    """One propagation step of a block; returns the new frontier ``(g, x)``."""
+    U, I = model.n_users, model.n_items
+    # Expand frontier pairs over the out-edges of their users (CSR ranges).
+    f_s, f_u = np.divmod(f_g, U)
     counts = model.out_deg[f_u]
-    if counts.sum() == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = model.out_start[f_u]
-    e_idx = np.concatenate(
-        [np.arange(s0, s0 + c, dtype=np.int64) for s0, c in zip(starts, counts)]
-    )
-    ev_src = model.src[e_idx]
-    ev_dst = model.dst[e_idx]
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY, _EMPTY
+    first = np.cumsum(counts) - counts
+    e_idx = np.arange(total) + np.repeat(model.out_start[f_u] - first, counts)
+    ev_s = np.repeat(f_s, counts)
     ev_x = np.repeat(f_x, counts)
-    ev_binf = model.base_inf[e_idx] if not frozen else act0[e_idx]
-
-    live = ~adopted[ev_dst, ev_x]
+    ev_gd = ev_s * U + model.dst[e_idx]
+    live = ~blk.adopted[ev_gd, ev_x]
     if not live.any():
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    ev_src, ev_dst, ev_x, ev_binf = (
-        ev_src[live], ev_dst[live], ev_x[live], ev_binf[live],
+        return _EMPTY, _EMPTY
+    e_idx, ev_s, ev_x, ev_gd = e_idx[live], ev_s[live], ev_x[live], ev_gd[live]
+
+    if not frozen:
+        _fill_pref(model, blk, np.unique(ev_gd))
+    # Keys (salt, sample, t, ζ, …) folded once per sample of the block.
+    prefix = fold(
+        model.seed, TAG_TRIAL, salt, np.arange(blk.s0, blk.s0 + blk.n), t, zeta
     )
+    keys = [
+        _trials(
+            model, blk, prefix, e_idx[c:c + CHUNK_ROWS], ev_s[c:c + CHUNK_ROWS],
+            ev_x[c:c + CHUNK_ROWS], ev_gd[c:c + CHUNK_ROWS], frozen, pref0, act0,
+        )
+        for c in range(0, len(e_idx), CHUNK_ROWS)
+    ]
+    keys = np.unique(np.concatenate(keys))
+    return np.divmod(keys, I)
 
-    # P_act per event (frozen: the precomputed clipped base influence).
+
+def _fill_pref(model, blk, rows) -> None:
+    """Compute the stale ``P_pref`` rows among ``rows`` into the cache."""
+    p = model.params
+    rows = rows[~blk.pref_ok[rows]]
+    for c in range(0, len(rows), CHUNK_ROWS):
+        r = rows[c:c + CHUNK_ROWS]
+        blk.pref[r] = kernels.preference_batch(
+            model.base_pref[r % model.n_users], blk.adopted[r], blk.wc[r], blk.ws[r],
+            model.s_c, model.s_s, p.beta_c, p.beta_s, p.pref_floor,
+        )
+    blk.pref_ok[rows] = True
+
+
+def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen, pref0, act0):
+    """Adoption and extra-adoption trials of a chunk of promotion events.
+
+    Returns the keys ``g·I + item`` of the hits (may repeat).
+    """
+    p = model.params
+    I = model.n_items
+    src, dst = model.src[e_idx], model.dst[e_idx]
+    # P_act and P_pref(dst, x) per event (frozen: the initial values).
     if frozen:
-        act = ev_binf
+        act = act0[e_idx]
+        pref_x = pref0[dst, ev_x]
     else:
-        inter = (adopted[ev_src] & adopted[ev_dst]).sum(axis=1)
-        union = ad_count[ev_src] + ad_count[ev_dst] - inter
+        ev_gs = ev_s * model.n_users + src
+        inter = (blk.adopted[ev_gs] & blk.adopted[ev_gd]).sum(axis=1)
+        union = blk.ad_count[ev_gs] + blk.ad_count[ev_gd] - inter
         act = kernels.influence_strength(
-            ev_binf, inter, union, p.gamma, p.act_floor, p.act_cap
+            model.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
         )
-
-    # P_pref(dst, ·) per unique destination user (cached, batched).
-    uniq_dst = np.unique(ev_dst)
-    if frozen:
-        pref_mat = pref0[ev_dst]
-    else:
-        missing = np.asarray(
-            [u for u in uniq_dst if int(u) not in pref_cache], dtype=np.int64
-        )
-        if len(missing):
-            rows = kernels.preference_batch(
-                model.base_pref[missing], adopted[missing], wc[missing], ws[missing],
-                model.s_c, model.s_s, p.beta_c, p.beta_s, p.pref_floor,
-            )
-            for i, u in enumerate(missing):
-                pref_cache[int(u)] = rows[i]
-        pref_mat = np.stack([pref_cache[int(u)] for u in ev_dst])  # [n_ev, I]
-    pref_x = pref_mat[np.arange(len(ev_x)), ev_x]
-
+        pref_x = blk.pref[ev_gd, ev_x]
     p_promo = act * pref_x
-
-    # Direct adoption trials, keyed (salt, sample, t, ζ, u', u, x, y=x).
-    hit = u01(
-        model.seed, TAG_TRIAL, salt, sample, t, zeta, ev_src, ev_dst, ev_x, ev_x
-    ) < p_promo
 
     # Item-association (extra adoption) trials over every other item y:
     # P_ext = ext_scale · P_act(u',u) · P_pref(u,x) · r^C(u,x,y). In
     # frozen mode wc is never updated, so this reads the initial
     # perception as required. Batched: r_rows[e] = wc[dst_e] @ s_c[:, x_e, :].
-    r_rows = np.einsum("em,emi->ei", wc[ev_dst], model.s_c[:, ev_x, :].transpose(1, 0, 2))
-    p_ext = p.ext_scale * p_promo[:, None] * r_rows
-    p_ext[adopted[ev_dst]] = 0.0
-    p_ext[np.arange(len(ev_x)), ev_x] = 0.0
-    ys = np.arange(model.n_items, dtype=np.int64)[None, :]
-    ext_hit = (
-        u01(
-            model.seed, TAG_TRIAL, salt, sample, t, zeta,
-            ev_src[:, None], ev_dst[:, None], ev_x[:, None], ys,
-        )
-        < p_ext
+    r_rows = np.einsum(
+        "em,emi->ei", blk.wc[ev_gd], model.s_c[:, ev_x, :].transpose(1, 0, 2)
     )
+    p_ext = p.ext_scale * p_promo[:, None] * r_rows
+    p_ext[blk.adopted[ev_gd]] = 0.0
+    p_ext[np.arange(len(ev_x)), ev_x] = 0.0
+    # A draw is in [0, 1), so a zero-probability trial never hits: draw
+    # extra adoptions only where P_ext > 0.
+    er, ey = np.nonzero(p_ext > 0)
 
-    new_pairs = set(zip(ev_dst[hit].tolist(), ev_x[hit].tolist()))
-    er, ec = np.nonzero(ext_hit)
-    new_pairs.update(zip(ev_dst[er].tolist(), ec.tolist()))
-    if not new_pairs:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    arr = np.asarray(sorted(new_pairs), dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+    # One draw per trial, keyed (salt, sample, t, ζ, u', u, x, y): the
+    # direct adoption of x (y = x) of every event, then the extra ones.
+    e = np.concatenate([np.arange(len(ev_x)), er])
+    y = np.concatenate([ev_x, ey])
+    hit = u01_from(prefix[ev_s[e]], src[e], dst[e], ev_x[e], y) < np.concatenate(
+        [p_promo, p_ext[er, ey]]
+    )
+    return ev_gd[e[hit]] * I + y[hit]
 
 
 def likelihood_pi(model: ModelData, state: WorldState, users=None) -> float:

@@ -77,7 +77,7 @@ def simulate_spark(
 ) -> SparkSimResult:
     """Run the campaign distributedly; same semantics as the local engine."""
     p = model.params
-    by_t = _group_seeds(seeds, T)
+    by_t = _group_seeds(model, seeds, T, n_samples)
 
     edges = spark.createDataFrame(
         pd.DataFrame({"src": model.src, "dst": model.dst, "binf": model.base_inf})

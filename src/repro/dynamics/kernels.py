@@ -30,6 +30,8 @@ def normalize_rows(w: np.ndarray) -> np.ndarray:
     """
     w = np.maximum(np.asarray(w, dtype=np.float64), 0.0)
     tot = w.sum(axis=-1, keepdims=True)
+    if (tot > 0).all():
+        return w / tot
     uniform = np.full_like(w, 1.0 / w.shape[-1])
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(tot > 0, w / tot, uniform)
@@ -84,14 +86,41 @@ def preference_batch(
 ) -> np.ndarray:
     """Vectorized :func:`preference` for a batch of users ``[B, I]``.
 
-    Same math, batched einsum — used by the engines' hot loops; the
-    scalar kernel stays as the readable reference (tests assert they
-    agree bit-for-bit, both reduce adopted items then meta-graphs).
+    Same math as the scalar kernel. ``Σ_{a∈A(u)} s[:, a, :]`` is formed
+    by adding each row's adopted items in ascending item order
+    (:func:`_adopted_sums`); the meta-graph reduction is an einsum. The
+    tests check the result bit for bit against the plain
+    ``einsum("ua,may->umy")`` form, and against the scalar kernel
+    within float tolerance.
     """
-    ad = np.asarray(adopted_rows, dtype=np.float64)
-    comp = np.einsum("um,umy->uy", wc_rows, np.einsum("ua,may->umy", ad, s_c))
-    subs = np.einsum("um,umy->uy", ws_rows, np.einsum("ua,may->umy", ad, s_s))
+    acc_c, acc_s = _adopted_sums(adopted_rows, s_c, s_s)
+    comp = np.einsum("um,umy->uy", wc_rows, acc_c)
+    subs = np.einsum("um,umy->uy", ws_rows, acc_s)
     return np.clip(base_pref_rows + beta_c * comp - beta_s * subs, pref_floor, 1.0)
+
+
+def _adopted_sums(adopted_rows: np.ndarray, *tensors: np.ndarray) -> list[np.ndarray]:
+    """``Σ_{a∈A(u)} s[:, a, :]`` per row ``[B, n_meta, I]`` for each tensor.
+
+    Each row's adopted items are added one at a time in ascending item
+    order, starting from zero. The products of a 0/1 indicator are
+    exact, so this is the sum the dense ``einsum("ua,may->umy")`` forms,
+    in the order it forms it: the bits agree. A BLAS contraction
+    (``tensordot``, ``@``) may block or thread the reduction and round
+    differently, so none is used here. Work is ``O(nnz · n_meta · I)``
+    instead of ``O(B · I · n_meta · I)``.
+    """
+    rows, items = np.nonzero(adopted_rows)  # row-major: items ascend within a row
+    out = [np.zeros((len(adopted_rows), s.shape[0], s.shape[2])) for s in tensors]
+    if len(rows) == 0:
+        return out
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # position in its row
+    for k in range(int(rank.max()) + 1):
+        sel = rank == k
+        r, a = rows[sel], items[sel]  # at most one item per row: r is unique
+        for acc, s in zip(out, tensors):
+            acc[r] += s[:, a, :].transpose(1, 0, 2)
+    return out
 
 
 def influence_strength(

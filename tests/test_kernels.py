@@ -116,6 +116,45 @@ class TestPreference:
             assert np.allclose(batch[i], one)
 
 
+def _einsum_preference(base, adopted, wc, ws, s_c, s_s, beta_c, beta_s, floor):
+    """The dense einsum form of ``preference_batch``: the exactness oracle."""
+    ad = np.asarray(adopted, dtype=np.float64)
+    comp = np.einsum("um,umy->uy", wc, np.einsum("ua,may->umy", ad, s_c))
+    subs = np.einsum("um,umy->uy", ws, np.einsum("ua,may->umy", ad, s_s))
+    return np.clip(base + beta_c * comp - beta_s * subs, floor, 1.0)
+
+
+class TestPreferenceBatchExact:
+    """``preference_batch`` gives the einsum form's bits on real tensors."""
+
+    @pytest.fixture(scope="class")
+    def amazon(self):
+        from repro.data.datasets import make_dataset
+
+        return make_dataset("amazon_lite").model
+
+    @pytest.mark.parametrize(
+        "rows, max_items",
+        [(1, 0), (1, 1), (1, 8), (1, 48), (3, 9), (64, 16), (511, 48),
+         (512, 8), (1024, 30), (4096, 5), (4096, 48)],
+    )
+    def test_equals_einsum(self, amazon, rows, max_items):
+        m, p = amazon, amazon.params
+        g = np.random.default_rng(rows * 100 + max_items)
+        n_items = m.n_items
+        ad = np.zeros((rows, n_items), dtype=bool)
+        counts = g.integers(0, max_items + 1, rows)
+        counts[0] = max_items
+        for r, k in enumerate(counts):
+            ad[r, g.choice(n_items, k, replace=False)] = True
+        users = g.integers(0, m.n_users, rows)
+        wc = kernels.normalize_rows(g.random((rows, m.n_comp)))
+        ws = kernels.normalize_rows(g.random((rows, m.n_subs)))
+        args = (m.base_pref[users], ad, wc, ws, m.s_c, m.s_s,
+                p.beta_c, p.beta_s, p.pref_floor)
+        assert np.array_equal(kernels.preference_batch(*args), _einsum_preference(*args))
+
+
 class TestInfluenceStrength:
     def test_empty_sets_give_base(self):
         act = kernels.influence_strength(np.array([0.2]), [0], [0], 0.5, 0.01, 0.95)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import repro.diffusion.local as local_engine
 from repro.data.datasets import make_dataset
 from repro.diffusion.local import likelihood_pi, simulate
 from repro.diffusion.sigma import sigma_from_adopt_t
@@ -93,6 +94,32 @@ class TestEngineProperties:
         with pytest.raises(ValueError):
             simulate(small, [(0, 0, 7)], T=3, n_samples=2)
 
+    @pytest.mark.parametrize(
+        "seeds, n_samples",
+        [
+            ([(-1, 0, 1)], 2),  # user below range
+            ([(100, 0, 1)], 2),  # user == n_users
+            ([(0, -1, 1)], 2),  # item below range
+            ([(0, 10_000, 1)], 2),  # item above range
+            ([(0, 0, 1), (5, 1, 1), (0, 0, 1)], 2),  # pair twice in one promotion
+            ([(0, 0, 1)], 0),  # no samples
+        ],
+    )
+    def test_bad_input_rejected(self, small, seeds, n_samples):
+        assert small.n_users == 100
+        with pytest.raises(ValueError):
+            simulate(small, seeds, T=2, n_samples=n_samples)
+
+    def test_spark_engine_shares_the_check(self, small):
+        from repro.diffusion.spark_engine import simulate_spark
+
+        with pytest.raises(ValueError):  # raised before any Spark work
+            simulate_spark(None, small, [(0, -1, 1)], T=2, n_samples=2)
+
+    def test_same_pair_in_two_promotions_allowed(self, small):
+        res = simulate(small, [(0, 0, 1), (0, 0, 2)], T=2, n_samples=2)
+        assert (res.adopt_t[:, 0, 0] == 1).all()
+
     def test_empty_seed_group(self, small):
         res = simulate(small, [], T=2, n_samples=2)
         assert res.sigma == 0.0
@@ -150,3 +177,54 @@ class TestLikelihoodPi:
         all_users = likelihood_pi(small, res.state)
         some = likelihood_pi(small, res.state, users=np.arange(10))
         assert 0.0 <= some <= all_users
+
+
+@pytest.fixture(scope="module")
+def amazon():
+    return make_dataset("amazon_lite").model
+
+
+_SEED_GROUPS = {
+    "small100": [(0, 0, 1), (5, 2, 1), (9, 0, 2), (12, 1, 2), (71, 3, 3)],
+    "amazon_lite": [(299, 9, 1), (1740, 0, 1), (299, 0, 2), (919, 0, 2), (733, 23, 3)],
+}
+
+
+def _case(request, preset):
+    model = request.getfixturevalue("small" if preset == "small100" else "amazon")
+    return model, _SEED_GROUPS[preset]
+
+
+def _same_run(a, b):
+    return (
+        np.array_equal(a.adopt_t, b.adopt_t)
+        and np.array_equal(a.state.wc, b.state.wc)
+        and np.array_equal(a.state.ws, b.state.ws)
+    )
+
+
+class TestSampleBatchingExact:
+    """The blocked sample axis changes no bit: each sample is its own run."""
+
+    @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_prefix_of_samples(self, request, preset, frozen):
+        model, seeds = _case(request, preset)
+        five = simulate(model, seeds, T=3, n_samples=5, frozen=frozen)
+        three = simulate(model, seeds, T=3, n_samples=3, frozen=frozen)
+        assert np.array_equal(five.adopt_t[:3], three.adopt_t)
+        assert np.array_equal(five.state.wc[:3], three.state.wc)
+        assert np.array_equal(five.state.ws[:3], three.state.ws)
+        assert three.adopt_t.any()
+
+    @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_block_and_chunk_sizes(self, request, monkeypatch, preset, frozen):
+        model, seeds = _case(request, preset)
+        M = 3 if preset == "amazon_lite" else 4
+        want = simulate(model, seeds, T=3, n_samples=M, frozen=frozen)
+        monkeypatch.setattr(local_engine, "BLOCK_ROWS", 1)
+        monkeypatch.setattr(local_engine, "CHUNK_ROWS", 1)
+        got = simulate(model, seeds, T=3, n_samples=M, frozen=frozen)
+        assert _same_run(got, want)
+        assert got.sigma == want.sigma

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import bernoulli, fold, u01
+from repro.rng import bernoulli, fold, fold_from, u01, u01_from
 
 
 class TestFold:
@@ -33,6 +33,51 @@ class TestFold:
 
     def test_dtype_uint64(self):
         assert fold(1).dtype == np.uint64
+
+
+class TestKeyForms:
+    """Python ints, numpy scalars and arrays are the same keys."""
+
+    def test_pinned_values(self):
+        # SplitMix64 over the keys; any change to the fold moves every σ.
+        assert int(fold(1, 2, 3)) == 1443444168058374695
+        assert float(u01(7, 21, 3, 5)) == 0.44519814537441016
+        assert fold(9, np.arange(3), 4).tolist() == [
+            13316909960013408938, 695260019348681024, 18066932095006859899,
+        ]
+
+    def test_scalar_forms_same_bits(self):
+        want = fold(7, 21, 3, 5)
+        assert fold(np.int64(7), np.uint64(21), np.int32(3), np.array(5)) == want
+        assert u01(np.int64(7), 21, np.int16(3), 5) == u01(7, 21, 3, 5)
+
+    def test_broadcast_array_keys_same_bits(self):
+        a = np.arange(6, dtype=np.int64)
+        grid = u01(7, 21, 3, a[:, None], a[None, :])
+        for i in range(6):
+            for j in range(6):
+                assert grid[i, j] == u01(7, 21, 3, i, j)
+        full = np.full(6, 21, dtype=np.int64)
+        assert np.array_equal(u01(7, full, 3, a), u01(7, 21, 3, a))
+        assert np.array_equal(
+            fold(np.full((2, 1), 7), 21, a), np.broadcast_to(fold(7, 21, a), (2, 6))
+        )
+
+    def test_fold_from_continues_a_fold(self):
+        a = np.arange(5, dtype=np.int64)
+        assert fold_from(fold(1, 2), 3, 4) == fold(1, 2, 3, 4)
+        pre = fold(9, 21, 0, a, 2, 1)
+        assert np.array_equal(fold_from(pre, a, 4), fold(9, 21, 0, a, 2, 1, a, 4))
+        assert np.array_equal(
+            u01_from(pre[:, None], a[None, :]), u01(9, 21, 0, a[:, None], 2, 1, a[None, :])
+        )
+
+    @pytest.mark.parametrize("key", [-1, np.int64(-3), 2**64])
+    def test_out_of_range_key_raises(self, key):
+        with pytest.raises(ValueError):
+            fold(1, key)
+        with pytest.raises(ValueError):
+            u01(key, 2)
 
 
 class TestU01:
