@@ -2,11 +2,13 @@
 
 Usage:
     spark-submit jobs/run_all_tables.py [--out results.md] [--quick]
+        [--table T3] [--skip-spark-check]
 
 ``--quick`` shrinks every sweep to one or two cheap cells (CI smoke).
-The full run reproduces EXPERIMENTS.md. A SparkSession is only needed
-for the certification re-evaluation of one cell on the Spark BSP
-engine; all planning runs locally (see DESIGN.md §3 layering).
+``--table T3`` runs one table only (T1–T9). The full run reproduces
+EXPERIMENTS.md. A SparkSession is only needed for the
+certification re-evaluation of one cell on the Spark BSP engine; all
+planning runs locally (see DESIGN.md §3 layering).
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="table_results.md")
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("--skip-spark-check", action="store_true")
+    ap.add_argument("--table", type=str.upper, choices=[f"T{i}" for i in range(1, 10)])
     args = ap.parse_args(argv)
 
     r = H.Runner()
@@ -60,6 +63,10 @@ def main(argv=None) -> int:
              lambda: H.table_t9_theta(r)),
         ]
 
+    if args.table:
+        specs = [(title, fn) for title, fn in specs if title.split()[0] == args.table]
+        if not specs:
+            ap.error(f"--quick has no table {args.table}")
     for title, fn in specs:
         log(f"running {title} ...")
         sections.append((title, fn()))

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
 from repro.core.nominees import _f
+from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 
 
@@ -32,6 +33,7 @@ def bundlegrd(
     bundle_size: int = 4,
 ) -> list[tuple[int, int, int]]:
     """Greedy (lazy) user selection for the importance-top bundle."""
+    check_plan_inputs(budget, T)
     p = model.params
     bundle = [int(x) for x in np.argsort(-model.importance)[:bundle_size]]
     cand_users = [int(u) for u in np.argsort(-model.out_deg)[: p.cand_users]]

@@ -16,27 +16,9 @@ grid still grows work linearly in its size).
 """
 from __future__ import annotations
 
-import numpy as np
-
+from repro.core.clustering import influence_region
 from repro.core.tdsi import MarketEvaluator
 from repro.dynamics.state import ModelData
-from repro.graph.local import mioa_reach
-
-
-def _scope_submodel(model: ModelData, users: list[int]) -> ModelData:
-    """Submodel induced by the seeds' joint MIOA influence region."""
-    p = model.params
-    act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-    reach = mioa_reach(
-        model.src, model.dst, act0, model.n_users, sorted(set(users)), p.theta_mioa
-    )
-    members = np.flatnonzero(reach > 0)
-    if len(members) > p.market_cap:
-        members = np.sort(
-            members[np.argsort(-reach[members], kind="stable")[: p.market_cap]]
-        )
-    members = np.union1d(members, np.asarray(sorted(set(users)), dtype=np.int64))
-    return model.subgraph(members)
 
 
 def cr_greedy_timings(
@@ -56,7 +38,7 @@ def cr_greedy_timings(
         groups = [[pr] for pr in pairs]
     if not groups:
         return []
-    sub = _scope_submodel(model, [u for g in groups for u, _ in g])
+    sub = model.subgraph(influence_region(model, [u for g in groups for u, _ in g]))
     ev = MarketEvaluator(sub, T, model.params.mc_plan)
     stride = max(1, -(-T // max_timings))  # ceil(T / max_timings)
     grid = list(range(1, T + 1, stride))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.baselines.cr_greedy import cr_greedy_timings
 from repro.core.nominees import select_nominees
+from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 
 
@@ -22,5 +23,6 @@ def hag(
     model: ModelData, budget: float, T: int, *, max_pairs: int = 150
 ) -> list[tuple[int, int, int]]:
     """Select pairs by cost-aware frozen greedy; schedule with CR-Greedy."""
+    check_plan_inputs(budget, T)
     pairs = select_nominees(model, budget, max_pairs=max_pairs, frozen=True, scope="full")
     return cr_greedy_timings(model, pairs, T)

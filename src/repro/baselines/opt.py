@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from repro.core.nominees import candidate_pool
-from repro.diffusion.local import simulate
+from repro.diffusion.local import check_plan_inputs, simulate
 from repro.dynamics.state import ModelData
 
 
@@ -37,6 +37,7 @@ def opt_bruteforce(
     ``n_samples``. With these defaults the returned group's σ is an
     effectively exhaustive reference on the 100-user instances.
     """
+    check_plan_inputs(budget, T)
     pool = candidate_pool(model, max_pairs=pool_size)
     groups: list[list[tuple[int, int, int]]] = []
     for k in range(1, max_seeds + 1):

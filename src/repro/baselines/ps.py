@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
+from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 from repro.graph.local import mioa_reach
 
@@ -29,6 +30,7 @@ def ps(
     model: ModelData, budget: float, T: int, *, max_seeds: int | None = None
 ) -> list[tuple[int, int, int]]:
     """Path-based greedy pair selection, then CR-Greedy scheduling."""
+    check_plan_inputs(budget, T)
     p = model.params
     cand_users = [int(u) for u in np.argsort(-model.out_deg)[: p.cand_users]]
     act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)

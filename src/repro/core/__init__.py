@@ -1,7 +1,7 @@
 """Dysim — Dynamic perception for seeding in target markets (Sec. IV)."""
 from repro.core.nominees import candidate_pool, select_nominees
 from repro.core.clustering import TargetMarket, identify_target_markets, group_and_order
-from repro.core.dre import dynamic_reachability, dr_all_items
+from repro.core.dre import dr_all_items
 from repro.core.tdsi import substantial_influence
 from repro.core.dysim import dysim
 
@@ -11,7 +11,6 @@ __all__ = [
     "TargetMarket",
     "identify_target_markets",
     "group_and_order",
-    "dynamic_reachability",
     "dr_all_items",
     "substantial_influence",
     "dysim",

@@ -56,6 +56,30 @@ def initial_average_relevance(model: ModelData) -> tuple[np.ndarray, np.ndarray]
     )
 
 
+def influence_region(model: ModelData, sources) -> np.ndarray:
+    """Sorted users of the sources' MIOA influence region, sources included.
+
+    A user belongs to the region when its best path probability from
+    the sources is ≥ ``theta_mioa`` on the initial influence strengths
+    (MIOA, Chen, Wang & Wang, KDD'10). Above ``market_cap`` members,
+    only the most reachable are kept (ties by user id); planning cost is
+    bounded by the region size, while the final σ evaluation still uses
+    the full network. Sources are sorted and deduplicated before the
+    search, so their order does not matter.
+    """
+    p = model.params
+    srcs = np.unique(np.asarray(sources, dtype=np.int64))
+    act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
+    reach = mioa_reach(
+        model.src, model.dst, act0, model.n_users, srcs.tolist(), p.theta_mioa
+    )
+    users = np.flatnonzero(reach > 0)
+    if len(users) > p.market_cap:
+        top = users[np.argsort(-reach[users], kind="stable")[: p.market_cap]]
+        users = np.sort(top)
+    return np.union1d(users, srcs)
+
+
 def identify_target_markets(
     model: ModelData,
     nominees: list[tuple[int, int]],
@@ -67,8 +91,7 @@ def identify_target_markets(
     Two nominees are linked when their users are within ``link_hops``
     (undirected social distance) *and* their items are complementary on
     balance (``r̄^C − r̄^S ≥ 0``, or the same item). The market's users
-    are the MIOA region (path probability ≥ ``theta_mioa`` on the
-    initial influence strengths) of the cluster's nominee users.
+    are the :func:`influence_region` of the cluster's nominee users.
     """
     if not nominees:
         return []
@@ -107,22 +130,10 @@ def identify_target_markets(
             leaders.append(i)
             clusters[i] = [i]
 
-    act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
     markets = []
     for root in sorted(clusters):
         mem = [nominees[i] for i in clusters[root]]
-        srcs = sorted({u for u, _ in mem})
-        reach = mioa_reach(
-            model.src, model.dst, act0, model.n_users, srcs, p.theta_mioa
-        )
-        users = np.flatnonzero(reach > 0)
-        if len(users) > p.market_cap:
-            # Keep the most-reachable members; planning cost is bounded
-            # by the market size (the full network is still used for
-            # the final sigma evaluation).
-            top = users[np.argsort(-reach[users], kind="stable")[: p.market_cap]]
-            users = np.sort(top)
-        users = np.union1d(users, np.asarray(srcs, dtype=np.int64))
+        users = influence_region(model, [u for u, _ in mem])
         diam = diameter_within(model.src, model.dst, model.n_users, users, p.d_cap)
         markets.append(TargetMarket(nominees=mem, users=users, diameter=diam))
     return markets

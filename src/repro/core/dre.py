@@ -55,13 +55,3 @@ def dr_all_items(
     ri = w * g
     return pi + ri
 
-
-def dynamic_reachability(
-    r_bar_c: np.ndarray,
-    r_bar_s: np.ndarray,
-    importance: np.ndarray,
-    x: int,
-    d: int,
-) -> float:
-    """``DR^{W,τ}(S^G, x)`` of Eq. (1) for a single item."""
-    return float(dr_all_items(r_bar_c, r_bar_s, importance, d)[x])

@@ -18,8 +18,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.clustering import (
     TargetMarket,
     group_and_order,
@@ -29,9 +27,8 @@ from repro.core.clustering import (
 from repro.core.dre import dr_all_items
 from repro.core.nominees import select_nominees
 from repro.core.tdsi import MarketEvaluator, substantial_influence, timing_window
-from repro.diffusion.local import simulate
+from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
-from repro.kg.relevance import average_relevance
 
 
 @dataclass
@@ -52,6 +49,7 @@ def dysim(
     max_pairs: int = 150,
 ) -> DysimResult:
     """Run Dysim and return the seed group ``{(u, x, t)}``."""
+    check_plan_inputs(budget, T)
     p = model.params
 
     # ---- TMI ---------------------------------------------------------
@@ -69,25 +67,16 @@ def dysim(
         prev_last_t = 0
         for k in group:
             tau = markets[k]
-            submodel = model.subgraph(tau.users)
-            ev = MarketEvaluator(submodel, T, p.mc_plan)
+            ev = MarketEvaluator(model.subgraph(tau.users), T, p.mc_plan)
             T_market = max(1, round(len(tau.nominees) * T / max(1, total_nominees)))
 
             remaining = list(tau.nominees)
             items_left = sorted({x for _, x in remaining})
             market_seeds: list[tuple[int, int, int]] = []
-            rbar_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
             while items_left:
                 # ---- DRE: current average perception in τ ------------
-                key = ev._localize(group_seeds)
-                if key not in rbar_cache:
-                    res = simulate(submodel, list(key), T, p.mc_plan)
-                    rbar_cache[key] = (
-                        average_relevance(res.state.wc, model.s_c),
-                        average_relevance(res.state.ws, model.s_s),
-                    )
-                rc_tau, rs_tau = rbar_cache[key]
+                rc_tau, rs_tau = ev.average_relevance(group_seeds)
                 dr = dr_all_items(rc_tau, rs_tau, model.importance, tau.diameter)
                 x_p = max(items_left, key=lambda x: (dr[x], -x))
                 items_left.remove(x_p)

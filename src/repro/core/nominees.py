@@ -20,9 +20,9 @@ import heapq
 
 import numpy as np
 
+from repro.core.clustering import influence_region
 from repro.diffusion.local import simulate
 from repro.dynamics.state import ModelData
-from repro.graph.local import mioa_reach
 
 
 def candidate_pool(model: ModelData, *, max_pairs: int = 150) -> list[tuple[int, int]]:
@@ -100,17 +100,7 @@ def select_nominees(
         if scope == "full":
             return _f(model, selected + [(u, x)], p.mc_plan, frozen=frozen) - f_sel
         if u not in submodels:
-            act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-            reach = mioa_reach(
-                model.src, model.dst, act0, model.n_users, [u], p.theta_mioa
-            )
-            members = np.flatnonzero(reach > 0)
-            if len(members) > p.market_cap:
-                members = np.sort(
-                    members[np.argsort(-reach[members], kind="stable")[: p.market_cap]]
-                )
-            members = np.union1d(members, [u])
-            sm = model.subgraph(members)
+            sm = model.subgraph(influence_region(model, [u]))
             submodels[u] = sm
             locals_[u] = {int(g): i for i, g in enumerate(sm.orig_users)}
         sm, loc = submodels[u], locals_[u]

@@ -14,17 +14,22 @@ numbers to the with/without runs, so the marginals are low-variance.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.diffusion.local import likelihood_pi, simulate
 from repro.dynamics.state import ModelData
+from repro.kg.relevance import mean_weights, personal_relevance
 
 
 class MarketEvaluator:
-    """Caches σ^τ / π^τ of the current seed group on one market submodel.
+    """Simulated state of one market submodel, once per seed group.
 
     ``submodel`` is ``model.subgraph(market.users)``; seeds are given in
     *global* user ids and silently dropped if their user lies outside
     the market (they cannot contribute adoptions inside it when the
-    diffusion is restricted to the market, by construction).
+    diffusion is restricted to the market, by construction). Each
+    distinct localized seed group is simulated once; TDSI reads its
+    σ^τ / π^τ and DRE its average perception from the same run.
     """
 
     def __init__(self, submodel: ModelData, T: int, n_samples: int) -> None:
@@ -32,7 +37,8 @@ class MarketEvaluator:
         self.T = T
         self.n_samples = n_samples
         self._local = {int(g): i for i, g in enumerate(submodel.orig_users)}
-        self._cache: dict[tuple, tuple[float, float]] = {}
+        # key -> (σ, π, mean wc, mean ws) of the simulated market
+        self._cache: dict[tuple, tuple[float, float, np.ndarray, np.ndarray]] = {}
 
     def _localize(self, seeds) -> tuple:
         out = []
@@ -42,14 +48,28 @@ class MarketEvaluator:
                 out.append((lu, int(x), int(t)))
         return tuple(sorted(out))
 
-    def sigma_pi(self, seeds) -> tuple[float, float]:
-        """(σ^τ, π^τ) of a seed group, memoized on the localized seeds."""
+    def _run(self, seeds) -> tuple[float, float, np.ndarray, np.ndarray]:
         key = self._localize(seeds)
         if key not in self._cache:
             res = simulate(self.submodel, list(key), self.T, self.n_samples)
-            pi = likelihood_pi(self.submodel, res.state)
-            self._cache[key] = (res.sigma, pi)
+            self._cache[key] = (
+                res.sigma,
+                likelihood_pi(self.submodel, res.state),
+                mean_weights(res.state.wc),
+                mean_weights(res.state.ws),
+            )
         return self._cache[key]
+
+    def sigma_pi(self, seeds) -> tuple[float, float]:
+        """(σ^τ, π^τ) of a seed group."""
+        sigma, pi, _, _ = self._run(seeds)
+        return sigma, pi
+
+    def average_relevance(self, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """Market-average ``(r̄^C, r̄^S)`` after the seed group's campaign."""
+        _, _, wc_bar, ws_bar = self._run(seeds)
+        sm = self.submodel
+        return personal_relevance(wc_bar, sm.s_c), personal_relevance(ws_bar, sm.s_s)
 
 
 def substantial_influence(

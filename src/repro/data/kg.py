@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.kg.metagraphs import IN_CAT, IN_TIER, MADE_BY, SUPPORTS  # noqa: F401
 
@@ -92,11 +91,6 @@ def kg_pdf(
         .reset_index(drop=True)
         .astype({"src": "int64", "dst": "int64"})
     )
-
-
-def knowledge_graph(spark: SparkSession, n_items: int, **kw) -> DataFrame:
-    """Spark DataFrame of :func:`kg_pdf` rows."""
-    return spark.createDataFrame(kg_pdf(n_items, **kw))
 
 
 def base_preferences(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def social_edges_pdf(
@@ -48,20 +47,6 @@ def social_edges_pdf(
         pdf.sort_values(["src", "dst"])
         .reset_index(drop=True)
         .astype({"src": "int64", "dst": "int64"})
-    )
-
-
-def social_network(
-    spark: SparkSession,
-    n_users: int,
-    avg_out_deg: float,
-    *,
-    alpha: float = 0.9,
-    seed: int = 0,
-) -> DataFrame:
-    """Spark DataFrame ``(src, dst)`` — same rows as :func:`social_edges_pdf`."""
-    return spark.createDataFrame(
-        social_edges_pdf(n_users, avg_out_deg, alpha=alpha, seed=seed)
     )
 
 

@@ -68,15 +68,25 @@ class SimResult:
     sigma_by_t: np.ndarray
 
 
+def check_plan_inputs(budget: float, T: int) -> None:
+    """Reject a planner's budget ``<= 0`` or horizon ``T < 1`` (``ValueError``)."""
+    if not budget > 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+
+
 def _group_seeds(
     model: ModelData, seeds, T: int, n_samples: int
 ) -> dict[int, list[tuple[int, int]]]:
     """Seed pairs by promotion, sorted; rejects inputs no engine can run.
 
-    Raises ``ValueError`` for ``n_samples < 1``, a timing outside
-    ``[1, T]``, a user or item id out of range, and a ``(user, item)``
-    pair listed twice in one promotion.
+    Raises ``ValueError`` for ``T < 1``, ``n_samples < 1``, a timing
+    outside ``[1, T]``, a user or item id out of range, and a ``(user,
+    item)`` pair listed twice in one promotion.
     """
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     by_t: dict[int, list[tuple[int, int]]] = {}

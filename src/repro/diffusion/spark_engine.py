@@ -51,20 +51,6 @@ def _empty(spark: SparkSession, schema: str) -> DataFrame:
     return spark.createDataFrame([], schema)
 
 
-def _init_weight_rows(model: ModelData, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Initial (wc, ws) rows for the given original user ids."""
-    u = np.asarray(users, dtype=np.int64)[:, None]
-    wc = kernels.normalize_rows(
-        1.0 + 0.2 * u01(model.seed, kernels.TAG_WEIGHT_INIT_C, u,
-                        np.arange(model.n_comp, dtype=np.int64)[None, :])
-    )
-    ws = kernels.normalize_rows(
-        1.0 + 0.2 * u01(model.seed, kernels.TAG_WEIGHT_INIT_S, u,
-                        np.arange(model.n_subs, dtype=np.int64)[None, :])
-    )
-    return wc, ws
-
-
 def simulate_spark(
     spark: SparkSession,
     model: ModelData,
@@ -88,8 +74,16 @@ def simulate_spark(
 
     # Static data shipped to the workers via closure capture.
     s_c, s_s = model.s_c, model.s_s
-    base_pref = model.base_pref
+    base_pref, orig_users = model.base_pref, model.orig_users
     seed0, params = model.seed, p
+
+    def _init_weights(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Initial (wc, ws) rows of local users, keyed by original id."""
+        orig = orig_users[users]
+        return (
+            kernels.init_weights(orig, s_c.shape[0], seed0, kernels.TAG_WEIGHT_INIT_C),
+            kernels.init_weights(orig, s_s.shape[0], seed0, kernels.TAG_WEIGHT_INIT_S),
+        )
 
     def _step_kernel(iterator):
         """Vertex program: trials for one batch of promotion events.
@@ -118,7 +112,7 @@ def simulate_spark(
 
             wc_rows = np.empty((n, s_c.shape[0]))
             ws_rows = np.empty((n, s_s.shape[0]))
-            wc_init, ws_init = _init_weight_rows_static(dst)
+            wc_init, ws_init = _init_weights(dst)
             for i, (wc_v, ws_v) in enumerate(zip(pdf["wc"], pdf["ws"])):
                 wc_rows[i] = wc_init[i] if wc_v is None else np.asarray(wc_v)
                 ws_rows[i] = ws_init[i] if ws_v is None else np.asarray(ws_v)
@@ -175,9 +169,6 @@ def simulate_spark(
                 }
             )
 
-    def _init_weight_rows_static(users: np.ndarray):
-        return _init_weight_rows(model, users)
-
     def _weights_kernel(pdf: pd.DataFrame) -> pd.DataFrame:
         """Vertex program: end-of-step weight reinforcement for one user."""
         sample = int(pdf["sample"].iloc[0])
@@ -188,7 +179,7 @@ def simulate_spark(
         ad_mask[items_after] = True
         wc_v, ws_v = pdf["wc"].iloc[0], pdf["ws"].iloc[0]
         if wc_v is None:
-            wc_i, ws_i = _init_weight_rows_static(np.asarray([user]))
+            wc_i, ws_i = _init_weights(np.asarray([user]))
             wc_u, ws_u = wc_i[0], ws_i[0]
         else:
             wc_u, ws_u = np.asarray(wc_v), np.asarray(ws_v)

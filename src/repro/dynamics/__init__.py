@@ -2,9 +2,7 @@
 from repro.dynamics.kernels import (
     init_weights,
     normalize_rows,
-    preference,
     influence_strength,
-    relevance_row,
     weight_gains,
     update_weights,
 )
@@ -13,9 +11,7 @@ from repro.dynamics.state import ModelData, WorldState, init_state
 __all__ = [
     "init_weights",
     "normalize_rows",
-    "preference",
     "influence_strength",
-    "relevance_row",
     "weight_gains",
     "update_weights",
     "ModelData",

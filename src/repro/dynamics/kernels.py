@@ -38,39 +38,18 @@ def normalize_rows(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_weights(n_users: int, n_meta: int, seed: int, tag: int) -> np.ndarray:
-    """Initial personal weightings ``[U, n_meta]``: uniform + jitter.
+def init_weights(users: np.ndarray, n_meta: int, seed: int, tag: int) -> np.ndarray:
+    """Initial personal weightings ``[len(users), n_meta]``: uniform + jitter.
 
-    Deterministic in ``(seed, tag, user, meta)`` via the stateless hash,
-    so both engines (and re-runs) start from identical perceptions.
+    ``users`` are *original* user ids: the jitter is keyed by ``(seed,
+    tag, user, meta)`` through the stateless hash, so both engines,
+    re-runs and subgraph instances start every user from the same
+    perception.
     """
-    u = np.arange(n_users, dtype=np.int64)[:, None]
+    u = np.asarray(users, dtype=np.int64)[:, None]
     m = np.arange(n_meta, dtype=np.int64)[None, :]
     w = 1.0 + 0.2 * u01(seed, tag, u, m)
     return normalize_rows(w)
-
-
-def preference(
-    base_pref_u: np.ndarray,
-    adopted_u: np.ndarray,
-    wc_u: np.ndarray,
-    ws_u: np.ndarray,
-    s_c: np.ndarray,
-    s_s: np.ndarray,
-    beta_c: float,
-    beta_s: float,
-    pref_floor: float,
-) -> np.ndarray:
-    """``P_pref(u, ·)`` over all items (factor 2, cross elasticity).
-
-    ``base + beta_c * Σ_{a∈A(u)} r^C(u,a,y) − beta_s * Σ_{a∈A(u)} r^S(u,a,y)``
-    clipped into ``[pref_floor, 1]``. Entries for already-adopted items
-    are computed but never used by callers.
-    """
-    ad = np.asarray(adopted_u, dtype=np.float64)
-    comp = wc_u @ np.einsum("a,may->my", ad, s_c)
-    subs = ws_u @ np.einsum("a,may->my", ad, s_s)
-    return np.clip(base_pref_u + beta_c * comp - beta_s * subs, pref_floor, 1.0)
 
 
 def preference_batch(
@@ -84,14 +63,15 @@ def preference_batch(
     beta_s: float,
     pref_floor: float,
 ) -> np.ndarray:
-    """Vectorized :func:`preference` for a batch of users ``[B, I]``.
+    """``P_pref(u, ·)`` over all items for a batch of users ``[B, I]``.
 
-    Same math as the scalar kernel. ``Σ_{a∈A(u)} s[:, a, :]`` is formed
-    by adding each row's adopted items in ascending item order
-    (:func:`_adopted_sums`); the meta-graph reduction is an einsum. The
-    tests check the result bit for bit against the plain
-    ``einsum("ua,may->umy")`` form, and against the scalar kernel
-    within float tolerance.
+    Factor 2, cross elasticity: ``base + beta_c * Σ_{a∈A(u)} r^C(u,a,y)
+    − beta_s * Σ_{a∈A(u)} r^S(u,a,y)`` clipped into ``[pref_floor, 1]``.
+    Entries for already-adopted items are computed but never used by
+    callers. ``Σ_{a∈A(u)} s[:, a, :]`` is formed by adding each row's
+    adopted items in ascending item order (:func:`_adopted_sums`); the
+    meta-graph reduction is an einsum. The tests check the result bit
+    for bit against the plain ``einsum("ua,may->umy")`` form.
     """
     acc_c, acc_s = _adopted_sums(adopted_rows, s_c, s_s)
     comp = np.einsum("um,umy->uy", wc_rows, acc_c)
@@ -139,11 +119,6 @@ def influence_strength(
     union = np.asarray(union, dtype=np.float64)
     jac = np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
     return np.clip(base_inf + gamma * jac, act_floor, act_cap)
-
-
-def relevance_row(w_u: np.ndarray, s: np.ndarray, x: int) -> np.ndarray:
-    """Personal relevance of item ``x`` to every item: ``w_u @ s[:, x, :]``."""
-    return w_u @ s[:, x, :]
 
 
 def weight_gains(

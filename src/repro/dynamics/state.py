@@ -134,33 +134,12 @@ def init_state(model: ModelData, n_samples: int) -> WorldState:
     users have in the full instance.
     """
     wc0 = kernels.init_weights(
-        len(model.orig_users), model.n_comp, model.seed, kernels.TAG_WEIGHT_INIT_C
+        model.orig_users, model.n_comp, model.seed, kernels.TAG_WEIGHT_INIT_C
     )
     ws0 = kernels.init_weights(
-        len(model.orig_users), model.n_subs, model.seed, kernels.TAG_WEIGHT_INIT_S
+        model.orig_users, model.n_subs, model.seed, kernels.TAG_WEIGHT_INIT_S
     )
-    # Re-key by original ids: init_weights hashes (seed, tag, row, meta),
-    # so compute on the original id rows directly.
-    if not np.array_equal(model.orig_users, np.arange(model.n_users)):
-        u = model.orig_users[:, None]
-        wc0 = kernels.normalize_rows(
-            1.0
-            + 0.2
-            * _jitter(model.seed, kernels.TAG_WEIGHT_INIT_C, u, model.n_comp)
-        )
-        ws0 = kernels.normalize_rows(
-            1.0
-            + 0.2
-            * _jitter(model.seed, kernels.TAG_WEIGHT_INIT_S, u, model.n_subs)
-        )
     adopted = np.zeros((n_samples, model.n_users, model.n_items), dtype=bool)
     wc = np.broadcast_to(wc0, (n_samples, *wc0.shape)).copy()
     ws = np.broadcast_to(ws0, (n_samples, *ws0.shape)).copy()
     return WorldState(adopted, wc, ws)
-
-
-def _jitter(seed: int, tag: int, users_col: np.ndarray, n_meta: int) -> np.ndarray:
-    from repro.rng import u01
-
-    m = np.arange(n_meta, dtype=np.int64)[None, :]
-    return u01(seed, tag, users_col, m)

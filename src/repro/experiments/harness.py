@@ -9,7 +9,7 @@ the dataset seed and the stateless trial RNG.
 
 σ is evaluated with the local engine by default; ``Runner.spark_check``
 re-evaluates any cell on the Spark BSP engine (identical trial keys →
-identical adoptions), which the jobs use to certify one cell per table.
+identical adoptions), which `jobs/run_all_tables.py` uses to certify one cell.
 """
 from __future__ import annotations
 
@@ -27,7 +27,11 @@ METHODS = ("dysim", "bundlegrd", "hag", "ps")
 
 @dataclass
 class CellResult:
-    """One (dataset, method, b, T) run: planning time + evaluated σ."""
+    """One (dataset, method, b, T) run: planning time + evaluated σ.
+
+    ``n_comp``, ``n_subs`` and ``params`` are the dataset settings the
+    cell ran on, so :meth:`Runner.spark_check` can rebuild its model.
+    """
 
     dataset: str
     method: str
@@ -37,6 +41,9 @@ class CellResult:
     seconds: float
     n_seeds: int
     seeds: list = field(repr=False, default_factory=list)
+    n_comp: int = 3
+    n_subs: int = 3
+    params: Params = DEFAULT
 
 
 class Runner:
@@ -80,7 +87,8 @@ class Runner:
         tag: str = "",
     ) -> CellResult:
         """Plan with ``method`` and evaluate σ; cached per cell."""
-        key = (dataset, method, b, T, n_comp, n_subs, params or self.params, tag)
+        params = params or self.params
+        key = (dataset, method, b, T, n_comp, n_subs, params, tag)
         if key in self._cells:
             return self._cells[key]
         ds = self.dataset(dataset, n_comp=n_comp, n_subs=n_subs, params=params)
@@ -100,7 +108,9 @@ class Runner:
             raise KeyError(f"unknown method {method!r}")
         seconds = time.perf_counter() - t0
         sigma = simulate(model, seeds, T, self.mc_eval).sigma
-        cell = CellResult(dataset, method, b, T, sigma, seconds, len(seeds), seeds)
+        cell = CellResult(
+            dataset, method, b, T, sigma, seconds, len(seeds), seeds, n_comp, n_subs, params
+        )
         self._cells[key] = cell
         return cell
 
@@ -108,7 +118,9 @@ class Runner:
         """Re-evaluate a cell's σ on the Spark BSP engine."""
         from repro.diffusion.spark_engine import simulate_spark
 
-        ds = self.dataset(cell.dataset)
+        ds = self.dataset(
+            cell.dataset, n_comp=cell.n_comp, n_subs=cell.n_subs, params=cell.params
+        )
         res = simulate_spark(
             spark, ds.model, cell.seeds, cell.T, n_samples or self.mc_eval
         )

@@ -1,20 +1,9 @@
-"""Graph primitives over the social network.
-
-Local numpy versions (used inside Dysim's planning loops) and Spark
-DataFrame versions (the distributed path for jobs at scale) implement
-the same definitions; tests assert they agree and the Spark versions
-are additionally oracle-checked against DuckDB recursive CTEs.
-"""
+"""Graph primitives over the social network (local numpy/BFS versions)."""
 from repro.graph.local import bfs_hops, undirected_bfs_hops, mioa_reach, diameter_within
-from repro.graph.spark_ops import degrees_spark, bfs_spark, components_spark, mioa_spark
 
 __all__ = [
     "bfs_hops",
     "undirected_bfs_hops",
     "mioa_reach",
     "diameter_within",
-    "degrees_spark",
-    "bfs_spark",
-    "components_spark",
-    "mioa_spark",
 ]

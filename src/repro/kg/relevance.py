@@ -39,5 +39,9 @@ def average_relevance(
         w = w[:, np.asarray(users, dtype=np.int64), :]
     if w.shape[0] * w.shape[1] == 0:
         return np.zeros(s.shape[1:])
-    w_bar = w.reshape(-1, w.shape[-1]).mean(axis=0)
-    return personal_relevance(w_bar, s)
+    return personal_relevance(mean_weights(w), s)
+
+
+def mean_weights(w: np.ndarray) -> np.ndarray:
+    """Weight vector ``[n_meta]`` averaged over samples and users of ``w``."""
+    return w.reshape(-1, w.shape[-1]).mean(axis=0)

@@ -14,6 +14,7 @@ import pytest
 from repro.dynamics import kernels
 from repro.dynamics.state import ModelData, init_state
 from repro.diffusion.local import simulate
+from repro.kg.relevance import personal_relevance
 from repro.params import DEFAULT
 
 
@@ -38,9 +39,9 @@ class TestCase1PerceptionShift:
     def test_adoption_raises_relevance(self):
         m = chain_model()
         st = init_state(m, 1)
-        r_before = kernels.relevance_row(st.wc[0, 1], m.s_c, 0)[1]
+        r_before = personal_relevance(st.wc[0, 1], m.s_c)[0, 1]
         res = simulate(m, [(1, 0, 1), (1, 1, 1)], T=1, n_samples=1)
-        r_after = kernels.relevance_row(res.state.wc[0, 1], m.s_c, 0)[1]
+        r_after = personal_relevance(res.state.wc[0, 1], m.s_c)[0, 1]
         # User 1 adopted both complements -> the explaining meta-graph
         # gains weight -> perceived relevance between 0 and 1 grows.
         assert r_after > r_before
@@ -51,10 +52,10 @@ class TestCase2SequencedComplement:
         m = chain_model()
         res = simulate(m, [(1, 0, 1)], T=1, n_samples=1)
         p = m.params
-        pref = kernels.preference(
-            m.base_pref[1], res.state.adopted[0, 1], res.state.wc[0, 1],
-            res.state.ws[0, 1], m.s_c, m.s_s, p.beta_c, p.beta_s, p.pref_floor,
-        )
+        pref = kernels.preference_batch(
+            m.base_pref[1:2], res.state.adopted[0, 1:2], res.state.wc[0, 1:2],
+            res.state.ws[0, 1:2], m.s_c, m.s_s, p.beta_c, p.beta_s, p.pref_floor,
+        )[0]
         assert pref[1] > m.base_pref[1, 1]
 
     def test_sequenced_promotion_beats_joint(self):

@@ -1,16 +1,24 @@
 """Tests for TMI clustering/grouping and TDSI machinery."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clustering import (
     antagonistic_extent,
     group_and_order,
     identify_target_markets,
+    influence_region,
     initial_average_relevance,
     TargetMarket,
 )
 from repro.core.tdsi import MarketEvaluator, substantial_influence, timing_window
 from repro.data.datasets import make_dataset
+from repro.diffusion.local import simulate
+from repro.graph.local import mioa_reach
+from repro.kg.relevance import average_relevance
 from repro.params import DEFAULT
 
 
@@ -54,6 +62,29 @@ class TestIdentifyTargetMarkets:
         rc, rs = initial_average_relevance(m)
         markets = identify_target_markets(m, [(0, 0)], rc, rs)
         assert len(markets[0].users) <= 11  # cap + the nominee user
+
+
+class TestInfluenceRegion:
+    @given(
+        sources=st.lists(st.integers(0, 99), min_size=1, max_size=6),
+        cap=st.sampled_from([1, 5, 20, 250]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_properties(self, small, sources, cap):
+        m = dataclasses.replace(small, params=small.params.with_(market_cap=cap))
+        out = influence_region(m, sources)
+        assert np.array_equal(out, np.unique(out))  # sorted and unique
+        assert set(sources) <= set(out.tolist())
+        p = m.params
+        act0 = np.clip(m.base_inf, p.act_floor, p.act_cap)
+        reach = mioa_reach(m.src, m.dst, act0, m.n_users, sorted(set(sources)), p.theta_mioa)
+        ranked = sorted(np.flatnonzero(reach > 0).tolist(), key=lambda u: (-reach[u], u))
+        assert set(out.tolist()) == set(ranked[:cap]) | set(sources)
+
+    def test_source_order_irrelevant(self, small):
+        a = influence_region(small, [50, 3, 3, 17])
+        b = influence_region(small, [3, 17, 50])
+        assert np.array_equal(a, b)
 
 
 class TestGrouping:
@@ -149,6 +180,28 @@ class TestMarketEvaluator:
         a = ev.sigma_pi([(0, 0, 1), (99, 0, 1)])  # 99 outside
         b = ev.sigma_pi([(0, 0, 1)])
         assert a == b
+
+    def test_one_simulation_per_seed_group(self, small, monkeypatch):
+        import repro.core.tdsi as tdsi
+
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args[1])
+            return simulate(*args, **kw)
+
+        monkeypatch.setattr(tdsi, "simulate", counting)
+        sub = small.subgraph(np.arange(30))
+        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        group = [(0, 0, 1), (5, 1, 2), (99, 0, 1)]  # 99 is outside the market
+        rc, rs = ev.average_relevance(group)
+        ev.sigma_pi(group)
+        ev.sigma_pi(group[::-1])
+        ev.average_relevance(group[:2])
+        assert calls == [[(0, 0, 1), (5, 1, 2)]]
+        fresh = simulate(sub, [(0, 0, 1), (5, 1, 2)], 3, 4)
+        assert np.array_equal(rc, average_relevance(fresh.state.wc, sub.s_c))
+        assert np.array_equal(rs, average_relevance(fresh.state.ws, sub.s_s))
 
     def test_si_increases_with_viable_candidate(self, small):
         sub = small.subgraph(np.arange(50))

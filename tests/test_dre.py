@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dre import dr_all_items, dynamic_reachability
+from repro.core.dre import dr_all_items
 
 
 def _reference_pi_ri(r_c, r_s, w, d):
@@ -60,12 +60,6 @@ class TestDr:
         got = dr_all_items(r_c, r_s, w, d)
         want = _reference_pi_ri(r_c, r_s, w, d)
         assert np.allclose(got, want)
-
-    def test_single_item_matches_vector(self):
-        r_c, r_s, w = _toy(3)
-        vec = dr_all_items(r_c, r_s, w, 2)
-        for x in range(len(w)):
-            assert dynamic_reachability(r_c, r_s, w, x, 2) == pytest.approx(vec[x])
 
     def test_pure_complement_positive(self):
         r_c = np.array([[0.0, 0.8], [0.8, 0.0]])

@@ -67,7 +67,7 @@ class TestDysim:
         assert a.seeds == b.seeds
 
     def test_empty_budget(self, small):
-        res = dysim(small, budget=0, T=3)
+        res = dysim(small, budget=0.5, T=3)  # below every seed cost (>= 1)
         assert res.seeds == []
 
     def test_markets_partition_nominees(self, small):
@@ -79,6 +79,13 @@ class TestDysim:
         res = dysim(small, budget=10, T=4, max_pairs=30)
         idx = sorted(i for g in res.groups for i in g)
         assert idx == list(range(len(res.markets)))
+
+
+@pytest.mark.parametrize("planner", [dysim, hag, ps, bundlegrd, opt_bruteforce])
+@pytest.mark.parametrize("budget, T", [(0, 3), (-5, 3), (8, 0), (8, -1)])
+def test_planners_reject_bad_budget_and_T(small, planner, budget, T):
+    with pytest.raises(ValueError, match="budget must be > 0|T must be >= 1"):
+        planner(small, budget, T)
 
 
 class TestBaselines:

@@ -31,6 +31,22 @@ class TestRunner:
         assert a is runner.dataset("small100")
 
 
+    def test_spark_check_uses_the_cells_dataset(self, runner, monkeypatch):
+        import repro.diffusion.spark_engine as engine
+
+        cell = runner.run("small100", "ps", 6, 2, n_comp=1, n_subs=1)
+        seen = []
+
+        def fake(spark, model, seeds, T, n_samples):
+            seen.append(model)
+            return engine.SparkSimResult(None, 1.5, None)
+
+        monkeypatch.setattr(engine, "simulate_spark", fake)
+        assert runner.spark_check(None, cell) == 1.5
+        assert seen[0].n_comp == 1 and seen[0].n_subs == 1
+        assert seen[0] is runner.dataset("small100", n_comp=1, n_subs=1).model
+
+
 class TestTables:
     def test_t1_rows(self, runner):
         rows = H.table_t1_opt_budget(runner, budgets=(6,), T=2)

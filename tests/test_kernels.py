@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.dynamics import kernels
+from repro.kg.relevance import personal_relevance
 
 
 def _toy_tensors(n_meta=2, n_items=4, seed=0):
@@ -41,30 +42,43 @@ class TestNormalizeRows:
 
 class TestInitWeights:
     def test_shape_and_simplex(self):
-        w = kernels.init_weights(10, 3, seed=1, tag=kernels.TAG_WEIGHT_INIT_C)
+        w = kernels.init_weights(np.arange(10), 3, seed=1, tag=kernels.TAG_WEIGHT_INIT_C)
         assert w.shape == (10, 3)
         assert np.allclose(w.sum(axis=1), 1.0)
 
     def test_deterministic(self):
-        a = kernels.init_weights(5, 3, 7, 11)
-        b = kernels.init_weights(5, 3, 7, 11)
+        a = kernels.init_weights(np.arange(5), 3, 7, 11)
+        b = kernels.init_weights(np.arange(5), 3, 7, 11)
         assert np.array_equal(a, b)
 
     def test_seed_changes_weights(self):
-        a = kernels.init_weights(5, 3, 7, 11)
-        b = kernels.init_weights(5, 3, 8, 11)
+        a = kernels.init_weights(np.arange(5), 3, 7, 11)
+        b = kernels.init_weights(np.arange(5), 3, 8, 11)
         assert not np.allclose(a, b)
 
     def test_near_uniform(self):
-        w = kernels.init_weights(100, 4, 0, 11)
+        w = kernels.init_weights(np.arange(100), 4, 0, 11)
         assert abs(w.mean() - 0.25) < 0.02
+
+    def test_keyed_by_user_id(self):
+        users = np.array([42, 7, 99])
+        w = kernels.init_weights(users, 3, 7, 11)
+        full = kernels.init_weights(np.arange(100), 3, 7, 11)
+        assert np.array_equal(w, full[users])
+
+
+def _pref_row(base, adopted, wc, ws, s_c, s_s, beta_c, beta_s, floor):
+    """``P_pref`` of one user: a one-row ``preference_batch`` call."""
+    return kernels.preference_batch(
+        base[None], adopted[None], wc[None], ws[None], s_c, s_s, beta_c, beta_s, floor
+    )[0]
 
 
 class TestPreference:
     def test_no_adoptions_is_clipped_base(self):
         s_c, s_s = _toy_tensors(), _toy_tensors(seed=1)
         base = np.array([0.01, 0.3, 0.6, 0.9])
-        pref = kernels.preference(
+        pref = _pref_row(
             base, np.zeros(4, bool), np.full(2, 0.5), np.full(2, 0.5),
             s_c, s_s, 0.4, 0.4, 0.05,
         )
@@ -75,7 +89,7 @@ class TestPreference:
         s_c[0, 0, 1] = s_c[0, 1, 0] = 0.8
         s_s = np.zeros((1, 3, 3))
         ad = np.array([True, False, False])
-        pref = kernels.preference(
+        pref = _pref_row(
             np.full(3, 0.3), ad, np.ones(1), np.ones(1), s_c, s_s, 0.5, 0.5, 0.02
         )
         assert pref[1] == pytest.approx(0.3 + 0.5 * 0.8)
@@ -86,7 +100,7 @@ class TestPreference:
         s_s = np.zeros((1, 3, 3))
         s_s[0, 0, 1] = s_s[0, 1, 0] = 0.8
         ad = np.array([True, False, False])
-        pref = kernels.preference(
+        pref = _pref_row(
             np.full(3, 0.3), ad, np.ones(1), np.ones(1), s_c, s_s, 0.5, 0.5, 0.02
         )
         assert pref[1] == pytest.approx(max(0.3 - 0.4, 0.02))
@@ -95,13 +109,14 @@ class TestPreference:
         s_c = np.zeros((1, 2, 2))
         s_s = np.zeros((1, 2, 2))
         s_s[0, 0, 1] = s_s[0, 1, 0] = 1.0
-        pref = kernels.preference(
+        pref = _pref_row(
             np.full(2, 0.1), np.array([True, False]), np.ones(1), np.ones(1),
             s_c, s_s, 0.5, 0.9, 0.02,
         )
         assert pref[1] == pytest.approx(0.02)
 
     def test_batch_matches_scalar(self):
+        """A batch gives every row the bits of that row's one-row call."""
         s_c, s_s = _toy_tensors(3, 6), _toy_tensors(3, 6, seed=2)
         g = np.random.default_rng(3)
         base = g.random((5, 6)) * 0.5
@@ -110,10 +125,8 @@ class TestPreference:
         ws = kernels.normalize_rows(g.random((5, 3)))
         batch = kernels.preference_batch(base, ad, wc, ws, s_c, s_s, 0.4, 0.4, 0.02)
         for i in range(5):
-            one = kernels.preference(
-                base[i], ad[i], wc[i], ws[i], s_c, s_s, 0.4, 0.4, 0.02
-            )
-            assert np.allclose(batch[i], one)
+            one = _pref_row(base[i], ad[i], wc[i], ws[i], s_c, s_s, 0.4, 0.4, 0.02)
+            assert np.array_equal(batch[i], one)
 
 
 def _einsum_preference(base, adopted, wc, ws, s_c, s_s, beta_c, beta_s, floor):
@@ -181,15 +194,17 @@ class TestInfluenceStrength:
 
 
 class TestRelevanceRow:
+    """Row ``x`` of a user's relevance matrix, as the engines read it."""
+
     def test_weighted_combination(self):
         s = _toy_tensors(2, 4)
         w = np.array([0.3, 0.7])
-        row = kernels.relevance_row(w, s, 1)
+        row = personal_relevance(w, s)[1]
         assert np.allclose(row, 0.3 * s[0, 1] + 0.7 * s[1, 1])
 
     def test_diagonal_zero(self):
         s = _toy_tensors(2, 4)
-        assert kernels.relevance_row(np.ones(2), s, 2)[2] == 0.0
+        assert personal_relevance(np.ones(2), s)[2][2] == 0.0
 
 
 class TestWeightUpdates:

@@ -110,11 +110,18 @@ class TestEngineProperties:
         with pytest.raises(ValueError):
             simulate(small, seeds, T=2, n_samples=n_samples)
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_horizon_below_one_rejected(self, small, T):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            simulate(small, [], T=T, n_samples=2)
+
     def test_spark_engine_shares_the_check(self, small):
         from repro.diffusion.spark_engine import simulate_spark
 
         with pytest.raises(ValueError):  # raised before any Spark work
             simulate_spark(None, small, [(0, -1, 1)], T=2, n_samples=2)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            simulate_spark(None, small, [], T=0, n_samples=2)
 
     def test_same_pair_in_two_promotions_allowed(self, small):
         res = simulate(small, [(0, 0, 1), (0, 0, 2)], T=2, n_samples=2)

@@ -57,18 +57,31 @@ class TestSigmaHelpers:
 
 class TestJobWrappers:
     @pytest.mark.parametrize("t", ["t1", "t3", "t7", "t9"])
-    def test_table_job_runs_with_stubbed_harness(self, t, monkeypatch, capsys):
-        """Each jobs/table_tN.py parses args and prints a markdown table."""
+    def test_table_job_runs_with_stubbed_harness(self, t, monkeypatch, capsys, tmp_path):
+        """``run_all_tables.py --table tN`` runs only that table and writes it."""
         import repro.experiments.harness as H
 
-        stub_rows = [{"b": 1, "dysim": 2.0}]
+        called = []
+
+        def stub(name):
+            def table(r, **kw):
+                called.append(name)
+                return [{"b": 1, "dysim": 2.0}]
+
+            return table
+
         for name in dir(H):
             if name.startswith("table_"):
-                monkeypatch.setattr(H, name, lambda r, **kw: stub_rows)
+                monkeypatch.setattr(H, name, stub(name))
         monkeypatch.setattr(H, "Runner", lambda **kw: object())
-        monkeypatch.setattr(sys, "argv", [f"table_{t}.py"])
+        out = tmp_path / "tables.md"
+        monkeypatch.setattr(
+            sys, "argv",
+            ["run_all_tables.py", "--table", t, "--skip-spark-check", "--out", str(out)],
+        )
         with pytest.raises(SystemExit) as exc:
-            runpy.run_path(f"jobs/table_{t}.py", run_name="__main__")
+            runpy.run_path("jobs/run_all_tables.py", run_name="__main__")
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "| b | dysim |" in out
+        assert [n.split("_")[1] for n in called] == [t]
+        assert "| b | dysim |" in capsys.readouterr().out
+        assert "| b | dysim |" in out.read_text()

@@ -43,6 +43,15 @@ class TestEngineEquivalence:
         got = set(map(tuple, sp.adoptions[["sample", "user", "item", "t"]].to_numpy()))
         assert got == _adoption_set(loc, 2)
 
+    def test_subgraph_model_identical(self, spark, small):
+        """A market submodel starts users from their original-id weights."""
+        sub = small.subgraph(np.arange(60, 90))
+        seeds = [(u, x, 1) for u in (28, 10, 22) for x in range(3)]
+        loc = simulate(sub, seeds, T=1, n_samples=4)
+        sp = simulate_spark(spark, sub, seeds, T=1, n_samples=4)
+        got = set(map(tuple, sp.adoptions[["sample", "user", "item", "t"]].to_numpy()))
+        assert got == _adoption_set(loc, 4)
+
     def test_sigma_helper_consistent(self, spark, small):
         seeds = [(0, 0, 1)]
         sp = simulate_spark(spark, small, seeds, T=1, n_samples=2)

@@ -91,6 +91,16 @@ class TestWorldState:
         assert np.allclose(st.wc[0, 0], full.wc[0, 2])
         assert np.allclose(st.wc[0, 1], full.wc[0, 4])
 
+    @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
+    def test_subgraph_weight_rows_exact(self, preset):
+        m = make_dataset(preset).model
+        users = np.random.default_rng(0).choice(m.n_users, 40, replace=False)
+        full = init_state(m, 1)
+        sub = m.subgraph(users)
+        st = init_state(sub, 1)
+        assert np.array_equal(st.wc[0], full.wc[0, sub.orig_users])
+        assert np.array_equal(st.ws[0], full.ws[0, sub.orig_users])
+
     def test_copy_independent(self):
         st = init_state(tiny_model(), 1)
         cp = st.copy()
