@@ -7,16 +7,20 @@ Usage:
 ``--quick`` shrinks every sweep to one or two cheap cells (CI smoke).
 ``--table T3`` runs one table only (T1–T9). The full run reproduces
 EXPERIMENTS.md. A SparkSession is only needed for the
-certification re-evaluation of one cell on the Spark BSP engine; all
-planning runs locally (see DESIGN.md §3 layering).
+certification re-evaluation of one cell on the Spark engine; all
+planning runs locally (see DESIGN.md §3 layering). Needs no
+``PYTHONPATH``: the script puts ``src/`` on its own path.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from repro.experiments import harness as H
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.experiments import harness as H  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -77,16 +81,10 @@ def main(argv=None) -> int:
         lines += [f"## {title}", "", H.to_markdown(rows), ""]
 
     if not args.skip_spark_check:
-        log("certifying one cell on the Spark BSP engine ...")
-        from pyspark.sql import SparkSession
+        log("certifying one cell on the Spark engine ...")
+        from repro.spark_session import job_session
 
-        spark = (
-            SparkSession.builder.appName("repro-tables")
-            .config("spark.sql.shuffle.partitions", "8")
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .getOrCreate()
-        )
-        spark.sparkContext.setLogLevel("ERROR")
+        spark = job_session("repro-tables")
         cell = r.run("small100", "dysim", 8, 5 if not args.quick else 2)
         sp_sigma = r.spark_check(spark, cell, n_samples=4)
         from repro.diffusion.local import simulate
@@ -98,8 +96,8 @@ def main(argv=None) -> int:
             "## Spark-engine certification",
             "",
             f"small100 Dysim cell (b=8): local engine sigma={lo_sigma:.6f}, "
-            f"Spark BSP engine sigma={sp_sigma:.6f} (identical trial keys; "
-            "must match exactly).",
+            f"Spark engine sigma={sp_sigma:.6f} (sample shards of the same "
+            "engine; must match exactly).",
             "",
         ]
         spark.stop()

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.dynamics import kernels
 from repro.dynamics.state import ModelData, WorldState, init_state
 from repro.rng import fold, u01_from
@@ -108,7 +109,7 @@ def _group_seeds(
 
 @dataclass
 class _Block:
-    """Samples ``s0 … s0+n−1`` of a run, as rows ``g = s·U + u``.
+    """Global samples ``s0 … s0+n−1`` of a run, as rows ``g = s·U + u``.
 
     ``adopted``/``wc``/``ws``/``adopt_t`` are ``[n·U, ·]`` views into
     the run's arrays. ``pref`` caches ``P_pref`` rows in dynamic mode;
@@ -135,13 +136,19 @@ def simulate(
     *,
     frozen: bool = False,
     trial_salt: int = 0,
+    first_sample: int = 0,
 ) -> SimResult:
     """Run the full campaign from a fresh state.
 
     ``seeds`` is an iterable of ``(user, item, t)``. ``trial_salt``
     shifts the random stream (for independent replications); leaving it
-    fixed gives common random numbers across seed groups.
+    fixed gives common random numbers across seed groups. The run covers
+    the global samples ``first_sample … first_sample+n_samples−1``: row
+    ``s`` of the result is sample ``first_sample + s`` of a run from 0,
+    bit for bit, so shards of one run can be simulated apart.
     """
+    if first_sample < 0:
+        raise ValueError(f"first_sample must be >= 0, got {first_sample}")
     by_t = _group_seeds(model, seeds, T, n_samples)
     U, I = model.n_users, model.n_items
     state = init_state(model, n_samples)
@@ -158,7 +165,7 @@ def simulate(
         s1 = min(s0 + per_block, n_samples)
         rows = (s1 - s0) * U
         blk = _Block(
-            s0=s0,
+            s0=first_sample + s0,
             n=s1 - s0,
             adopted=state.adopted[s0:s1].reshape(rows, I),
             wc=state.wc[s0:s1].reshape(rows, -1),
@@ -170,12 +177,7 @@ def simulate(
         )
         _run_block(model, blk, by_t, T, frozen, pref0, act0, trial_salt)
 
-    per_item = adopt_t > 0  # [M, U, I]
-    sigma_by_t = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        cnt = (adopt_t == t).sum(axis=1)  # [M, I] adopters of each item at t
-        sigma_by_t[t] = float((cnt.mean(axis=0) * model.importance).sum())
-    sigma = float((per_item.sum(axis=1).mean(axis=0) * model.importance).sum())
+    sigma, sigma_by_t = sigma_from_adopt_t(adopt_t, model.importance, T)
     return SimResult(state, adopt_t, sigma, sigma_by_t)
 
 

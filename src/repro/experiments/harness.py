@@ -8,8 +8,9 @@ Runs are cached in the :class:`Runner`, so tables that share cells
 the dataset seed and the stateless trial RNG.
 
 σ is evaluated with the local engine by default; ``Runner.spark_check``
-re-evaluates any cell on the Spark BSP engine (identical trial keys →
-identical adoptions), which `jobs/run_all_tables.py` uses to certify one cell.
+re-evaluates any cell on the Spark engine (the same engine run on shards
+of the Monte-Carlo samples → identical adoptions and σ), which
+`jobs/run_all_tables.py` uses to certify one cell.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ class Runner:
         return cell
 
     def spark_check(self, spark, cell: CellResult, *, n_samples: int | None = None) -> float:
-        """Re-evaluate a cell's σ on the Spark BSP engine."""
+        """Re-evaluate a cell's σ on the Spark engine, on the cell's own dataset."""
         from repro.diffusion.spark_engine import simulate_spark
 
         ds = self.dataset(

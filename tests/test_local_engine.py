@@ -81,9 +81,9 @@ class TestEngineProperties:
 
     def test_sigma_matches_adopt_t(self, small):
         res = simulate(small, [(0, 0, 1), (3, 1, 2)], T=3, n_samples=8)
-        assert res.sigma == pytest.approx(
-            sigma_from_adopt_t(res.adopt_t, small.importance)
-        )
+        sigma, by_t = sigma_from_adopt_t(res.adopt_t, small.importance, 3)
+        assert res.sigma == sigma
+        assert np.array_equal(res.sigma_by_t, by_t)
 
     def test_adoption_absorbing(self, small):
         # Re-seeding an adopted pair adds nothing.
@@ -235,3 +235,23 @@ class TestSampleBatchingExact:
         got = simulate(model, seeds, T=3, n_samples=M, frozen=frozen)
         assert _same_run(got, want)
         assert got.sigma == want.sigma
+
+    @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (2, 5), (4, 5)])
+    def test_sample_offset_is_a_slice(self, request, preset, frozen, lo, hi):
+        """Samples ``[lo, hi)`` run with their offset equal that slice of a full run."""
+        model, seeds = _case(request, preset)
+        full = simulate(model, seeds, T=3, n_samples=5, frozen=frozen, trial_salt=3)
+        part = simulate(
+            model, seeds, T=3, n_samples=hi - lo, frozen=frozen, trial_salt=3,
+            first_sample=lo,
+        )
+        assert np.array_equal(part.adopt_t, full.adopt_t[lo:hi])
+        assert np.array_equal(part.state.wc, full.state.wc[lo:hi])
+        assert np.array_equal(part.state.ws, full.state.ws[lo:hi])
+        assert part.adopt_t.any()
+
+    def test_negative_offset_rejected(self, small):
+        with pytest.raises(ValueError, match="first_sample"):
+            simulate(small, [], T=1, n_samples=2, first_sample=-1)

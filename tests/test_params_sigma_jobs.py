@@ -3,10 +3,9 @@ import runpy
 import sys
 
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.diffusion.sigma import sigma_from_adopt_t, sigma_from_adoption_rows
+from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.params import DEFAULT, Params
 
 
@@ -39,20 +38,15 @@ class TestSigmaHelpers:
         adopt_t[1, 1, 1] = 1
         w = np.array([1.0, 0.5])
         # item 0: mean 0.5 adopters; item 1: mean 1.0 adopters.
-        assert sigma_from_adopt_t(adopt_t, w) == pytest.approx(0.5 * 1.0 + 1.0 * 0.5)
-
-    def test_adoption_rows(self):
-        rows = pd.DataFrame({"item": [0, 1, 1], "sample": [0, 0, 1], "user": [1, 2, 2]})
-        w = np.array([1.0, 0.5])
-        assert sigma_from_adoption_rows(rows, w, n_samples=2) == pytest.approx(
-            (1.0 + 0.5 + 0.5) / 2
-        )
-
-    def test_empty_rows(self):
-        assert sigma_from_adoption_rows(pd.DataFrame(columns=["item"]), np.ones(2), 4) == 0.0
+        sigma, by_t = sigma_from_adopt_t(adopt_t, w, 2)
+        assert sigma == pytest.approx(0.5 * 1.0 + 1.0 * 0.5)
+        # t=1: item 0 mean 0.5, item 1 mean 0.5; t=2: item 1 mean 0.5.
+        assert by_t == pytest.approx([0.0, 0.5 + 0.25, 0.25])
 
     def test_never_adopted_is_zero(self):
-        assert sigma_from_adopt_t(np.zeros((1, 4, 3), np.int16), np.ones(3)) == 0.0
+        sigma, by_t = sigma_from_adopt_t(np.zeros((1, 4, 3), np.int16), np.ones(3), 2)
+        assert sigma == 0.0
+        assert not by_t.any()
 
 
 class TestJobWrappers:
