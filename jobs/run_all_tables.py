@@ -8,7 +8,8 @@ Usage:
 ``--table T3`` runs one table only (T1–T9). The full run reproduces
 EXPERIMENTS.md. A SparkSession is only needed for the
 certification re-evaluation of one cell on the Spark engine; all
-planning runs locally (see DESIGN.md §3 layering). Needs no
+planning runs locally (see DESIGN.md §3 layering). The job exits 1 when
+the Spark σ of that cell differs from the local engine's. Needs no
 ``PYTHONPATH``: the script puts ``src/`` on its own path.
 """
 from __future__ import annotations
@@ -80,6 +81,7 @@ def main(argv=None) -> int:
     for title, rows in sections:
         lines += [f"## {title}", "", H.to_markdown(rows), ""]
 
+    diverged = False
     if not args.skip_spark_check:
         log("certifying one cell on the Spark engine ...")
         from repro.spark_session import job_session
@@ -92,12 +94,13 @@ def main(argv=None) -> int:
         lo_sigma = simulate(
             r.dataset("small100").model, cell.seeds, cell.T, 4
         ).sigma
+        diverged = sp_sigma != lo_sigma
         lines += [
             "## Spark-engine certification",
             "",
             f"small100 Dysim cell (b=8): local engine sigma={lo_sigma:.6f}, "
             f"Spark engine sigma={sp_sigma:.6f} (sample shards of the same "
-            "engine; must match exactly).",
+            f"engine; must match exactly): {'DIVERGED' if diverged else 'equal'}.",
             "",
         ]
         spark.stop()
@@ -106,6 +109,9 @@ def main(argv=None) -> int:
         f.write("\n".join(lines))
     log(f"wrote {args.out}")
     print("\n".join(lines))
+    if diverged:
+        print("engines diverged", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -8,10 +8,11 @@ substitutable relationship ("regards all items as a bundle") and
 complementary items" — seeding one user costs the sum of the per-item
 costs, so few users are reached at a given budget.
 
-Bundle = the top items by importance (capped so a bundle is affordable
-at the experimental budgets; the paper's target sets are likewise small
-relative to the catalogue). Timings: CR-Greedy per user, the user's
-whole bundle at one round (a bundle is promoted together).
+Bundle = the top ``BUNDLE_SIZE`` items by importance (capped so a
+bundle is affordable at the experimental budgets; the paper's target
+sets are likewise small relative to the catalogue). Timings: CR-Greedy
+per user, the user's whole bundle at one round (a bundle is promoted
+together).
 """
 from __future__ import annotations
 
@@ -24,18 +25,14 @@ from repro.core.nominees import _f
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 
+BUNDLE_SIZE = 4  # items per bundle, the most important ones
 
-def bundlegrd(
-    model: ModelData,
-    budget: float,
-    T: int,
-    *,
-    bundle_size: int = 4,
-) -> list[tuple[int, int, int]]:
+
+def bundlegrd(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
     """Greedy (lazy) user selection for the importance-top bundle."""
     check_plan_inputs(budget, T)
     p = model.params
-    bundle = [int(x) for x in np.argsort(-model.importance)[:bundle_size]]
+    bundle = [int(x) for x in np.argsort(-model.importance)[:BUNDLE_SIZE]]
     cand_users = [int(u) for u in np.argsort(-model.out_deg)[: p.cand_users]]
 
     def user_cost(u: int) -> float:

@@ -9,7 +9,7 @@ The marginal evaluations run on a submodel restricted to the union of
 the seeds' MIOA influence regions (capped), with the shared dynamic
 engine and common random numbers — mirroring how Dysim's own planning
 estimates are restricted to target markets. When ``T`` is large the
-candidate timings are a stride grid of at most ``max_timings`` values;
+candidate timings are a stride grid of at most ``MAX_TIMINGS`` values;
 this is the documented tractability deviation (the paper's observation
 that baselines "suffer from larger T" in run time is preserved — the
 grid still grows work linearly in its size).
@@ -20,6 +20,8 @@ from repro.core.clustering import influence_region
 from repro.core.tdsi import MarketEvaluator
 from repro.dynamics.state import ModelData
 
+MAX_TIMINGS = 8  # candidate rounds per group: a stride grid over [1, T]
+
 
 def cr_greedy_timings(
     model: ModelData,
@@ -27,7 +29,6 @@ def cr_greedy_timings(
     T: int,
     *,
     groups: list[list[tuple[int, int]]] | None = None,
-    max_timings: int = 8,
 ) -> list[tuple[int, int, int]]:
     """Assign a promotion round to every pair (or group of pairs).
 
@@ -40,7 +41,7 @@ def cr_greedy_timings(
         return []
     sub = model.subgraph(influence_region(model, [u for g in groups for u, _ in g]))
     ev = MarketEvaluator(sub, T, model.params.mc_plan)
-    stride = max(1, -(-T // max_timings))  # ceil(T / max_timings)
+    stride = max(1, -(-T // MAX_TIMINGS))  # ceil(T / MAX_TIMINGS)
     grid = list(range(1, T + 1, stride))
 
     assigned: list[tuple[int, int, int]] = []

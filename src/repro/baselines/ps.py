@@ -26,28 +26,20 @@ from repro.dynamics.state import ModelData
 from repro.graph.local import mioa_reach
 
 
-def ps(
-    model: ModelData, budget: float, T: int, *, max_seeds: int | None = None
-) -> list[tuple[int, int, int]]:
+def ps(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
     """Path-based greedy pair selection, then CR-Greedy scheduling."""
     check_plan_inputs(budget, T)
-    p = model.params
-    cand_users = [int(u) for u in np.argsort(-model.out_deg)[: p.cand_users]]
-    act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-    mean_pref = np.clip(model.base_pref, p.pref_floor, 1.0).mean(axis=0)  # [I]
+    cand_users = [int(u) for u in np.argsort(-model.out_deg)[: model.params.cand_users]]
+    mean_pref = model.pref0.mean(axis=0)  # [I]
 
     # Maximum-influence-path probabilities from every candidate user
     # (the expensive search the paper attributes PS's run time to).
-    reach = {
-        u: mioa_reach(model.src, model.dst, act0, model.n_users, [u], p.theta_mioa)
-        for u in cand_users
-    }
+    reach = {u: mioa_reach(model, [u]) for u in cand_users}
     cov = np.zeros((model.n_users, model.n_items))  # cov_x(v)
 
     selected: list[tuple[int, int]] = []
     spent = 0.0
-    limit = max_seeds if max_seeds is not None else len(cand_users) * model.n_items
-    while len(selected) < limit:
+    while True:
         best = None
         taken = set(selected)
         for u in cand_users:

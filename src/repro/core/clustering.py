@@ -14,17 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dynamics.state import ModelData, init_state
-from repro.graph.local import diameter_within, mioa_reach, undirected_bfs_hops
+from repro.graph.local import bfs_hops, diameter, mioa_reach
 from repro.kg.relevance import average_relevance
 
 
 @dataclass
 class TargetMarket:
-    """A cluster of nominees plus the users they can influence."""
+    """A cluster of nominees plus the users they can influence.
+
+    ``submodel`` is ``model.subgraph(users)``, built once by
+    :func:`identify_target_markets` for the diameter and reused for the
+    market's planning simulations (``None`` for a market made by hand,
+    which only the grouping reads).
+    """
 
     nominees: list[tuple[int, int]]
     users: np.ndarray
     diameter: int
+    submodel: ModelData | None = field(default=None, repr=False)
     items: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -69,10 +76,7 @@ def influence_region(model: ModelData, sources) -> np.ndarray:
     """
     p = model.params
     srcs = np.unique(np.asarray(sources, dtype=np.int64))
-    act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-    reach = mioa_reach(
-        model.src, model.dst, act0, model.n_users, srcs.tolist(), p.theta_mioa
-    )
+    reach = mioa_reach(model, srcs.tolist())
     users = np.flatnonzero(reach > 0)
     if len(users) > p.market_cap:
         top = users[np.argsort(-reach[users], kind="stable")[: p.market_cap]]
@@ -91,16 +95,15 @@ def identify_target_markets(
     Two nominees are linked when their users are within ``link_hops``
     (undirected social distance) *and* their items are complementary on
     balance (``r̄^C − r̄^S ≥ 0``, or the same item). The market's users
-    are the :func:`influence_region` of the cluster's nominee users.
+    are the :func:`influence_region` of the cluster's nominee users;
+    its diameter is measured on the market's submodel.
     """
     if not nominees:
         return []
     p = model.params
     n = len(nominees)
     # Social distance from each nominee user (undirected BFS each).
-    hop_rows = {}
-    for u in sorted({u for u, _ in nominees}):
-        hop_rows[u] = undirected_bfs_hops(model.src, model.dst, model.n_users, [u])
+    hop_rows = {u: bfs_hops(model, [u]) for u in sorted({u for u, _ in nominees})}
 
     # Capacity-capped leader clustering (stands in for POT/FGCC, which
     # likewise produce several clusters): nominees join the first
@@ -134,8 +137,10 @@ def identify_target_markets(
     for root in sorted(clusters):
         mem = [nominees[i] for i in clusters[root]]
         users = influence_region(model, [u for u, _ in mem])
-        diam = diameter_within(model.src, model.dst, model.n_users, users, p.d_cap)
-        markets.append(TargetMarket(nominees=mem, users=users, diameter=diam))
+        sub = model.subgraph(users)
+        markets.append(
+            TargetMarket(nominees=mem, users=users, diameter=diameter(sub), submodel=sub)
+        )
     return markets
 
 

@@ -67,7 +67,7 @@ def dysim(
         prev_last_t = 0
         for k in group:
             tau = markets[k]
-            ev = MarketEvaluator(model.subgraph(tau.users), T, p.mc_plan)
+            ev = MarketEvaluator(tau.submodel, T, p.mc_plan)
             T_market = max(1, round(len(tau.nominees) * T / max(1, total_nominees)))
 
             remaining = list(tau.nominees)

@@ -35,14 +35,12 @@ def candidate_pool(model: ModelData, *, max_pairs: int = 150) -> list[tuple[int,
     """
     p = model.params
     cand_users = np.argsort(-model.out_deg)[: p.cand_users]
-    act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-    pref0 = np.clip(model.base_pref, p.pref_floor, 1.0)
     pairs: list[tuple[float, int, int]] = []
     for u in cand_users:
         sl = model.out_edges(int(u))
         nbrs = model.dst[sl]
-        a = act0[sl]
-        one_hop = (a[:, None] * pref0[nbrs]).sum(axis=0)  # [I]
+        a = model.act0[sl]
+        one_hop = (a[:, None] * model.pref0[nbrs]).sum(axis=0)  # [I]
         score = (model.importance + one_hop * model.importance) / model.cost[u]
         for x in range(model.n_items):
             pairs.append((float(score[x]), int(u), int(x)))

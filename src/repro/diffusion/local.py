@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.dynamics import kernels
-from repro.dynamics.state import ModelData, WorldState, init_state
+from repro.dynamics.state import ModelData, WorldState, csr_ranges, init_state
 from repro.rng import fold, u01_from
 
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
@@ -154,12 +154,6 @@ def simulate(
     state = init_state(model, n_samples)
     adopt_t = np.zeros((n_samples, U, I), dtype=np.int16)
 
-    pref0 = act0 = None
-    if frozen:
-        p = model.params
-        pref0 = np.clip(model.base_pref, p.pref_floor, 1.0)
-        act0 = np.clip(model.base_inf, p.act_floor, p.act_cap)
-
     per_block = max(1, BLOCK_ROWS // U)
     for s0 in range(0, n_samples, per_block):
         s1 = min(s0 + per_block, n_samples)
@@ -175,13 +169,13 @@ def simulate(
             pref=np.empty((0, I) if frozen else (rows, I)),
             pref_ok=np.zeros(rows, dtype=bool),
         )
-        _run_block(model, blk, by_t, T, frozen, pref0, act0, trial_salt)
+        _run_block(model, blk, by_t, T, frozen, trial_salt)
 
     sigma, sigma_by_t = sigma_from_adopt_t(adopt_t, model.importance, T)
     return SimResult(state, adopt_t, sigma, sigma_by_t)
 
 
-def _run_block(model, blk, by_t, T, frozen, pref0, act0, salt) -> None:
+def _run_block(model, blk, by_t, T, frozen, salt) -> None:
     U = model.n_users
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
@@ -197,7 +191,7 @@ def _run_block(model, blk, by_t, T, frozen, pref0, act0, salt) -> None:
         for zeta in range(1, model.params.max_steps + 1):
             if len(f_g) == 0:
                 break
-            f_g, f_x = _step(model, blk, f_g, f_x, t, zeta, frozen, pref0, act0, salt)
+            f_g, f_x = _step(model, blk, f_g, f_x, t, zeta, frozen, salt)
             _apply_adoptions(model, blk, f_g, f_x, t, frozen)
 
 
@@ -223,17 +217,14 @@ def _apply_adoptions(model, blk, g, x, t, frozen) -> None:
         )
 
 
-def _step(model, blk, f_g, f_x, t, zeta, frozen, pref0, act0, salt):
+def _step(model, blk, f_g, f_x, t, zeta, frozen, salt):
     """One propagation step of a block; returns the new frontier ``(g, x)``."""
     U, I = model.n_users, model.n_items
     # Expand frontier pairs over the out-edges of their users (CSR ranges).
     f_s, f_u = np.divmod(f_g, U)
-    counts = model.out_deg[f_u]
-    total = int(counts.sum())
-    if total == 0:
+    e_idx, counts = csr_ranges(model.out_start, f_u)
+    if len(e_idx) == 0:
         return _EMPTY, _EMPTY
-    first = np.cumsum(counts) - counts
-    e_idx = np.arange(total) + np.repeat(model.out_start[f_u] - first, counts)
     ev_s = np.repeat(f_s, counts)
     ev_x = np.repeat(f_x, counts)
     ev_gd = ev_s * U + model.dst[e_idx]
@@ -251,7 +242,7 @@ def _step(model, blk, f_g, f_x, t, zeta, frozen, pref0, act0, salt):
     keys = [
         _trials(
             model, blk, prefix, e_idx[c:c + CHUNK_ROWS], ev_s[c:c + CHUNK_ROWS],
-            ev_x[c:c + CHUNK_ROWS], ev_gd[c:c + CHUNK_ROWS], frozen, pref0, act0,
+            ev_x[c:c + CHUNK_ROWS], ev_gd[c:c + CHUNK_ROWS], frozen,
         )
         for c in range(0, len(e_idx), CHUNK_ROWS)
     ]
@@ -272,7 +263,7 @@ def _fill_pref(model, blk, rows) -> None:
     blk.pref_ok[rows] = True
 
 
-def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen, pref0, act0):
+def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     """Adoption and extra-adoption trials of a chunk of promotion events.
 
     Returns the keys ``g·I + item`` of the hits (may repeat).
@@ -282,8 +273,8 @@ def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen, pref0, act0):
     src, dst = model.src[e_idx], model.dst[e_idx]
     # P_act and P_pref(dst, x) per event (frozen: the initial values).
     if frozen:
-        act = act0[e_idx]
-        pref_x = pref0[dst, ev_x]
+        act = model.act0[e_idx]
+        pref_x = model.pref0[dst, ev_x]
     else:
         ev_gs = ev_s * model.n_users + src
         inter = (blk.adopted[ev_gs] & blk.adopted[ev_gd]).sum(axis=1)
@@ -318,18 +309,14 @@ def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen, pref0, act0):
     return ev_gd[e[hit]] * I + y[hit]
 
 
-def likelihood_pi(model: ModelData, state: WorldState, users=None) -> float:
+def likelihood_pi(model: ModelData, state: WorldState) -> float:
     """``π`` of Eq. (7): likelihood of future adoptions given the state.
 
     ``AIS(v, y) = 1 − Π_{v'∈N_in(v), y∈A(v')} (1 − P_act(v', v))`` (the
-    IC form of footnote 22), aggregated over the not-yet-adopted items
-    of the given ``users`` (default: all), weighted by preference, and
-    averaged over samples.
+    IC form of footnote 22), aggregated over every user's not-yet-adopted
+    items, weighted by preference, and averaged over samples.
     """
     p = model.params
-    if users is None:
-        users = np.arange(model.n_users)
-    users = np.asarray(users, dtype=np.int64)
     total = 0.0
     for s in range(state.n_samples):
         adopted = state.adopted[s]
@@ -345,10 +332,8 @@ def likelihood_pi(model: ModelData, state: WorldState, users=None) -> float:
         np.add.at(neglog, model.dst, contrib)
         ais = 1.0 - np.exp(-neglog)
         pref_rows = kernels.preference_batch(
-            model.base_pref[users], adopted[users], state.wc[s][users],
-            state.ws[s][users], model.s_c, model.s_s,
+            model.base_pref, adopted, state.wc[s], state.ws[s], model.s_c, model.s_s,
             p.beta_c, p.beta_s, p.pref_floor,
         )
-        open_items = ~adopted[users]
-        total += float((ais[users] * pref_rows * open_items).sum())
+        total += float((ais * pref_rows * ~adopted).sum())
     return total / state.n_samples

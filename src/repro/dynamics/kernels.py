@@ -1,10 +1,10 @@
 """Pure numpy kernels for the four IMDPP factors (DESIGN.md §3).
 
 These are the *single source of truth* for the dynamics math. The
-local Monte-Carlo engine calls them directly; the Spark engine calls
-the very same functions inside ``applyInPandas`` groups, so the two
-paths are bit-identical given the same inputs (all reductions here are
-fixed-order numpy reductions).
+local Monte-Carlo engine calls them; the Spark engine runs that same
+engine on shards of the samples, so the two paths are bit-identical
+given the same inputs (all reductions here are fixed-order numpy
+reductions, and a row's result does not depend on its batch).
 
 Shapes: ``s_c [nC, I, I]``, ``s_s [nS, I, I]`` are the symmetric
 meta-graph relevance tensors; per-user weight vectors ``wc [nC]``,

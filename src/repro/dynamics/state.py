@@ -1,14 +1,19 @@
 """Static model data and mutable world state for the IMDPP simulator.
 
 ``ModelData`` holds everything that does not change during diffusion:
-the social graph (CSR by source), the meta-graph relevance tensors, the
-base preference/influence values, item importance, and seed costs.
-``WorldState`` holds what diffusion mutates: adoption indicators and
-personal meta-graph weightings, with a leading Monte-Carlo sample axis.
+the social graph, the meta-graph relevance tensors, the base
+preference/influence values and their initial clipped forms, item
+importance, and seed costs. It is the one representation of the social
+graph: the engine walks its out-edge CSR, and the graph primitives
+(:mod:`repro.graph.local`) walk the same CSR or its undirected
+neighbour CSR. ``WorldState`` holds what diffusion mutates: adoption
+indicators and personal meta-graph weightings, with a leading
+Monte-Carlo sample axis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +30,11 @@ class ModelData:
     a frontier user's out-edges are a contiguous slice. ``orig_users``
     maps local user ids back to the parent instance after
     :meth:`subgraph` (identity for a full instance).
+
+    ``act0`` (per edge) and ``pref0`` (``[U, I]``) are the initial
+    influence strength and preference, the base values clipped into
+    the ranges of ``params``; frozen diffusion and every planner
+    estimate on the initial state read them.
     """
 
     n_users: int
@@ -42,7 +52,8 @@ class ModelData:
     orig_users: np.ndarray = field(default=None)  # type: ignore[assignment]
     out_start: np.ndarray = field(init=False)
     out_deg: np.ndarray = field(init=False)
-    in_deg: np.ndarray = field(init=False)
+    act0: np.ndarray = field(init=False)
+    pref0: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -56,9 +67,11 @@ class ModelData:
         counts = np.bincount(self.src, minlength=self.n_users)
         self.out_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.out_deg = counts.astype(np.int64)
-        self.in_deg = np.bincount(self.dst, minlength=self.n_users).astype(np.int64)
         if self.orig_users is None:
             self.orig_users = np.arange(self.n_users, dtype=np.int64)
+        p = self.params
+        self.act0 = np.clip(self.base_inf, p.act_floor, p.act_cap)
+        self.pref0 = np.clip(self.base_pref, p.pref_floor, 1.0)
 
     @property
     def n_comp(self) -> int:
@@ -68,13 +81,24 @@ class ModelData:
     def n_subs(self) -> int:
         return self.s_s.shape[0]
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.src)
-
     def out_edges(self, u: int) -> slice:
         """Slice of the edge arrays holding ``u``'s out-edges."""
         return slice(self.out_start[u], self.out_start[u + 1])
+
+    @cached_property
+    def nbr_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected neighbour CSR ``(start, nbr)``, built on first use.
+
+        ``nbr[start[u]:start[u+1]]`` are ``u``'s out-neighbours, then
+        its in-neighbours, each in edge order (a mutual friendship lists
+        the friend twice). Social distance treats friendship as
+        undirected.
+        """
+        ends = np.concatenate([self.src, self.dst])
+        order = np.argsort(ends, kind="stable")
+        counts = np.bincount(ends, minlength=self.n_users)
+        start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        return start, np.concatenate([self.dst, self.src])[order]
 
     def subgraph(self, users: np.ndarray) -> "ModelData":
         """Instance restricted to ``users`` (a target market).
@@ -122,8 +146,15 @@ class WorldState:
     def n_samples(self) -> int:
         return self.adopted.shape[0]
 
-    def copy(self) -> "WorldState":
-        return WorldState(self.adopted.copy(), self.wc.copy(), self.ws.copy())
+
+def csr_ranges(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``start[r] … start[r+1]−1`` of each of ``rows``, concatenated.
+
+    Returns the positions and the per-row counts; ``rows`` may repeat.
+    """
+    counts = start[rows + 1] - start[rows]
+    first = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(start[rows] - first, counts), counts
 
 
 def init_state(model: ModelData, n_samples: int) -> WorldState:

@@ -129,7 +129,7 @@ class Runner:
 
 
 # ----------------------------------------------------------------------
-# Table runners — defaults match the jobs; tests/benchmarks shrink them.
+# Table runners — defaults match the jobs; tests shrink them.
 # ----------------------------------------------------------------------
 
 def table_t1_opt_budget(r: Runner, *, budgets=(4, 6, 8, 10, 12), T: int = 5):

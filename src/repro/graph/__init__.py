@@ -1,9 +1,8 @@
-"""Graph primitives over the social network (local numpy/BFS versions)."""
-from repro.graph.local import bfs_hops, undirected_bfs_hops, mioa_reach, diameter_within
+"""Graph primitives over the social network of a ``ModelData``."""
+from repro.graph.local import bfs_hops, diameter, mioa_reach
 
 __all__ = [
     "bfs_hops",
-    "undirected_bfs_hops",
     "mioa_reach",
-    "diameter_within",
+    "diameter",
 ]

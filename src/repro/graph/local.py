@@ -1,71 +1,51 @@
-"""Local (numpy/BFS) graph primitives used by Dysim's planner.
+"""Graph primitives used by Dysim's planner.
 
-All functions take the edge arrays of a :class:`~repro.dynamics.state.
-ModelData` (or raw ``src``/``dst`` arrays) and are deterministic.
+Each takes a :class:`~repro.dynamics.state.ModelData` and walks its
+CSR arrays: the out-edge CSR (``out_start``/``dst``) for influence
+paths, the undirected neighbour CSR (``nbr_csr``) for social distance.
+All are deterministic.
 """
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 import numpy as np
 
-
-def _adj(src: np.ndarray, dst: np.ndarray, n: int, undirected: bool) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(src.tolist(), dst.tolist()):
-        adj[a].append(b)
-        if undirected:
-            adj[b].append(a)
-    return adj
+from repro.dynamics.state import ModelData, csr_ranges
 
 
-def bfs_hops(
-    src: np.ndarray, dst: np.ndarray, n: int, sources, *, undirected: bool = False
-) -> np.ndarray:
-    """Multi-source BFS hop counts; unreachable nodes get -1."""
-    adj = _adj(src, dst, n, undirected)
-    dist = np.full(n, -1, dtype=np.int64)
-    dq: deque[int] = deque()
-    for s in sources:
-        if dist[s] < 0:
-            dist[s] = 0
-            dq.append(int(s))
-    while dq:
-        u = dq.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                dq.append(v)
+def bfs_hops(model: ModelData, sources) -> np.ndarray:
+    """Social distance: multi-source BFS hop counts, friendship undirected.
+
+    Level-synchronous over the neighbour CSR; unreachable users get -1.
+    """
+    start, nbr = model.nbr_csr
+    dist = np.full(model.n_users, -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
+    hops = 0
+    while len(frontier):
+        hops += 1
+        reached = nbr[csr_ranges(start, frontier)[0]]
+        frontier = np.unique(reached[dist[reached] < 0])
+        dist[frontier] = hops
     return dist
 
 
-def undirected_bfs_hops(src, dst, n, sources) -> np.ndarray:
-    """Social distance: BFS treating friendship edges as undirected."""
-    return bfs_hops(src, dst, n, sources, undirected=True)
-
-
-def mioa_reach(
-    src: np.ndarray,
-    dst: np.ndarray,
-    prob: np.ndarray,
-    n: int,
-    sources,
-    threshold: float,
-) -> np.ndarray:
+def mioa_reach(model: ModelData, sources) -> np.ndarray:
     """Maximum-influence out-arborescence reachable set (MIOA [22]).
 
-    Dijkstra on edge lengths ``-log(prob)`` from the given sources; a
-    node belongs to the influence region if its best path probability
-    is ≥ ``threshold``. Returns the best path probability per node
-    (0 where below threshold or unreachable); sources get 1.
+    Dijkstra on edge lengths ``-log(act0)`` from the given sources over
+    the out-edge CSR; a user belongs to the influence region if its
+    best path probability is ≥ ``params.theta_mioa``. Returns the best
+    path probability per user (0 where below the threshold or
+    unreachable); sources get 1.
     """
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    lens = -np.log(np.clip(prob, 1e-12, 1.0))
-    for a, b, w in zip(src.tolist(), dst.tolist(), lens.tolist()):
-        adj[a].append((b, w))
+    threshold = model.params.theta_mioa
+    lens = -np.log(np.clip(model.act0, 1e-12, 1.0))
+    start = model.out_start
     limit = -np.log(max(threshold, 1e-12))
-    dist = np.full(n, np.inf)
+    dist = np.full(model.n_users, np.inf)
     heap: list[tuple[float, int]] = []
     for s in sources:
         if dist[s] > 0:
@@ -75,7 +55,8 @@ def mioa_reach(
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v, w in adj[u]:
+        a, b = start[u], start[u + 1]
+        for v, w in zip(model.dst[a:b].tolist(), lens[a:b].tolist()):
             nd = d + w
             if nd < dist[v] and nd <= limit:
                 dist[v] = nd
@@ -86,28 +67,21 @@ def mioa_reach(
     return p
 
 
-def diameter_within(
-    src: np.ndarray, dst: np.ndarray, n: int, members: np.ndarray, cap: int
-) -> int:
-    """Approximate diameter of the subgraph induced by ``members``.
+def diameter(model: ModelData) -> int:
+    """Approximate diameter of ``model``'s social graph, taken as undirected.
 
-    Max undirected BFS eccentricity from up to 4 probe members (exact
-    on the probes; capped at ``cap``, the paper's PI/RI recursion depth
-    is likewise bounded by the market diameter). At least 1.
+    Max BFS eccentricity of users 0–3 (exact on those probes), capped
+    at ``params.d_cap`` (the paper's PI/RI recursion depth is likewise
+    bounded by the market diameter). At least 1. A target market
+    measures it on its submodel, whose users 0–3 are its four lowest
+    user ids.
     """
-    members = np.asarray(members, dtype=np.int64)
-    if len(members) <= 1:
-        return 1
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
-    keep = mask[src] & mask[dst]
-    s, d = src[keep], dst[keep]
+    cap = model.params.d_cap
     best = 1
-    for probe in members[: min(4, len(members))]:
-        dist = bfs_hops(s, d, n, [int(probe)], undirected=True)
-        dd = dist[members]
-        if (dd >= 0).any():
-            best = max(best, int(dd.max()))
+    if model.n_users <= 1:
+        return best
+    for probe in range(min(4, model.n_users)):
+        best = max(best, int(bfs_hops(model, [probe]).max()))
         if best >= cap:
             return cap
-    return max(1, min(best, cap))
+    return best

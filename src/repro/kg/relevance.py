@@ -8,7 +8,7 @@ meta-graph relevances with their *personal* meta-graph weightings:
 
 and likewise for ``r^S``. Average relevance (the ``r̄`` of Sec. IV,
 used by TMI clustering, AE, and DRE) averages over a user population —
-either all users or the members of one target market — and over Monte
+all users of a model, or of a target market's submodel — and over Monte
 Carlo samples when the weight state is sampled.
 """
 from __future__ import annotations
@@ -24,21 +24,14 @@ def personal_relevance(w_u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("m,mij->ij", w_u, s)
 
 
-def average_relevance(
-    w: np.ndarray, s: np.ndarray, users: np.ndarray | None = None
-) -> np.ndarray:
+def average_relevance(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Population-average relevance ``r̄ [I, I]``.
 
-    ``w`` has shape ``[M, U, n_meta]`` (samples × users × meta-graphs);
-    ``users`` restricts the average to a subset (a target market). The
-    average commutes with the linear combination, so we average the
+    ``w`` has shape ``[M, U, n_meta]`` (samples × users × meta-graphs).
+    The average commutes with the linear combination, so we average the
     weight vectors first — much cheaper than averaging ``[I, I]``
     matrices.
     """
-    if users is not None:
-        w = w[:, np.asarray(users, dtype=np.int64), :]
-    if w.shape[0] * w.shape[1] == 0:
-        return np.zeros(s.shape[1:])
     return personal_relevance(mean_weights(w), s)
 
 

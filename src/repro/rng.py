@@ -1,13 +1,14 @@
 """Stateless, counter-based randomness shared by both diffusion engines.
 
-Every Bernoulli draw in the simulator is a pure function of a tuple of
-integer keys (seed, sample, promotion, step, actor, target, item, tag).
-Both the local numpy engine and the Spark engine call the *same*
-functions here, so given the same keys they see the same uniforms.
-That buys two things:
+Every Bernoulli trial in the simulator compares a uniform draw with its
+probability, and every draw is a pure function of a tuple of integer
+keys (seed, sample, promotion, step, actor, target, item, tag). The
+Spark engine runs the local engine on shards of the Monte-Carlo
+samples, and a sample's draws do not depend on which shard simulates
+it. That buys two things:
 
-* the Spark dataflow can be tested for **exact equality** against the
-  local reference engine, and
+* the Spark engine can be tested for **exact equality** against a
+  single local run, and
 * marginal-gain estimates (sigma with vs. without a candidate seed) use
   common random numbers, which slashes Monte-Carlo variance.
 
@@ -131,8 +132,3 @@ def u01(*keys) -> np.ndarray:
 def u01_from(acc, *keys) -> np.ndarray:
     """:func:`u01` of a key tuple whose prefix was folded into ``acc``."""
     return _unit(fold_from(acc, *keys))
-
-
-def bernoulli(p, *keys) -> np.ndarray:
-    """Vectorized Bernoulli(p) trials keyed by the integer tuple."""
-    return u01(*keys) < np.asarray(p, dtype=np.float64)

@@ -75,9 +75,7 @@ class TestInfluenceRegion:
         out = influence_region(m, sources)
         assert np.array_equal(out, np.unique(out))  # sorted and unique
         assert set(sources) <= set(out.tolist())
-        p = m.params
-        act0 = np.clip(m.base_inf, p.act_floor, p.act_cap)
-        reach = mioa_reach(m.src, m.dst, act0, m.n_users, sorted(set(sources)), p.theta_mioa)
+        reach = mioa_reach(m, sorted(set(sources)))
         ranked = sorted(np.flatnonzero(reach > 0).tolist(), key=lambda u: (-reach[u], u))
         assert set(out.tolist()) == set(ranked[:cap]) | set(sources)
 

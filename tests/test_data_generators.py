@@ -131,7 +131,7 @@ class TestPresets:
             m = ds.model
             assert m.n_users == PRESETS[name].n_users
             assert m.n_items == PRESETS[name].n_items
-            assert m.n_edges > 0
+            assert len(m.src) > 0
             assert m.s_c.shape == (3, m.n_items, m.n_items)
             assert m.cost.shape == (m.n_users, m.n_items)
 

@@ -73,6 +73,23 @@ class TestTables:
         rows = H.table_t9_theta(runner, thetas=(3,), b=10, T=2)
         assert rows[0]["theta"] == 3
 
+    @pytest.mark.parametrize(
+        "table, kwargs, columns",
+        [
+            pytest.param("table_t2_opt_T", dict(Ts=(2,), b=6), {"T", "opt"}, id="t2"),
+            pytest.param("table_t4_large_T", dict(datasets=("yelp_lite",), Ts=(5,), b=40),
+                         {"dataset", "T"}, id="t4"),
+            pytest.param("table_t5_time_budget", dict(budgets=(40,), T=5), {"b"}, id="t5"),
+            pytest.param("table_t6_time_T", dict(Ts=(5,), b=40), {"T"}, id="t6"),
+        ],
+    )
+    def test_reduced_sweep(self, runner, table, kwargs, columns):
+        """One cell of each table runner that no other test runs."""
+        rows = getattr(H, table)(runner, **kwargs)
+        assert len(rows) == 1
+        assert set(rows[0]) == columns | set(H.METHODS)
+        assert all(rows[0][m] > 0 for m in H.METHODS)
+
     def test_markdown_rendering(self):
         md = H.to_markdown([{"a": 1, "b": None}])
         assert "| a | b |" in md

@@ -179,12 +179,6 @@ class TestLikelihoodPi:
 
         assert likelihood_pi(small, init_state(small, 2)) == 0.0
 
-    def test_subset_of_users(self, small):
-        res = simulate(small, [(0, 0, 1), (1, 1, 1)], T=1, n_samples=4)
-        all_users = likelihood_pi(small, res.state)
-        some = likelihood_pi(small, res.state, users=np.arange(10))
-        assert 0.0 <= some <= all_users
-
 
 @pytest.fixture(scope="module")
 def amazon():

@@ -79,3 +79,33 @@ class TestJobWrappers:
         assert [n.split("_")[1] for n in called] == [t]
         assert "| b | dysim |" in capsys.readouterr().out
         assert "| b | dysim |" in out.read_text()
+
+    @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-9, 1)])
+    def test_spark_certification_exits_1_on_divergence(
+        self, offset, code, monkeypatch, capsys, tmp_path
+    ):
+        """The certified cell's Spark σ must equal the local σ with ``==``."""
+        import repro.experiments.harness as H
+        import repro.spark_session
+        from repro.diffusion.local import simulate
+
+        class FakeSpark:
+            def stop(self):
+                pass
+
+        def spark_check(self, spark, cell, n_samples=None):
+            model = self.dataset(cell.dataset).model
+            return simulate(model, cell.seeds, cell.T, n_samples).sigma + offset
+
+        monkeypatch.setattr(repro.spark_session, "job_session", lambda name: FakeSpark())
+        monkeypatch.setattr(H.Runner, "spark_check", spark_check)
+        monkeypatch.setattr(H, "table_t1_opt_budget", lambda r, **kw: [{"b": 1}])
+        out = tmp_path / "tables.md"
+        monkeypatch.setattr(
+            sys, "argv", ["run_all_tables.py", "--quick", "--table", "T1", "--out", str(out)]
+        )
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path("jobs/run_all_tables.py", run_name="__main__")
+        assert exc.value.code == code
+        verdict = "DIVERGED" if code else "equal"
+        assert f"must match exactly): {verdict}." in out.read_text()

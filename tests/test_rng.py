@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import bernoulli, fold, fold_from, u01, u01_from
+from repro.rng import fold, fold_from, u01, u01_from
 
 
 class TestFold:
@@ -111,18 +111,21 @@ class TestU01:
 
 
 class TestBernoulli:
+    """A trial hits when its draw is below its probability, as the engine draws."""
+
     def test_p_zero_never(self):
-        assert not bernoulli(0.0, 0, np.arange(1000)).any()
+        assert not (u01(0, np.arange(1000)) < 0.0).any()
 
     def test_p_one_always(self):
-        assert bernoulli(1.0, 0, np.arange(1000)).all()
+        assert (u01(0, np.arange(1000)) < 1.0).all()
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_rate_matches_p(self, p):
-        hits = bernoulli(p, 5, np.arange(50_000))
+        hits = u01(5, np.arange(50_000)) < p
         assert abs(hits.mean() - p) < 0.01
 
     def test_vector_p(self):
         p = np.linspace(0, 1, 11)
-        out = bernoulli(p, 1, np.arange(11))
+        out = u01(1, np.arange(11)) < p
         assert out.shape == (11,)
+        assert not out[0] and out[-1]
