@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from repro.core.nominees import candidate_pool
-from repro.diffusion.local import check_plan_inputs, simulate
+from repro.diffusion.local import check_plan_inputs, simulate_groups
 from repro.dynamics.state import ModelData
 
 
@@ -49,13 +49,11 @@ def opt_bruteforce(
                 groups.append([(u, x, t) for (u, x), t in zip(combo, ts)])
     if not groups:
         return []
-    coarse = [
-        (simulate(model, g, T, screen_samples).sigma, i) for i, g in enumerate(groups)
-    ]
-    coarse.sort(key=lambda t: -t[0])
+    screen = simulate_groups(model, groups, T, screen_samples)
+    coarse = sorted(((r.sigma, i) for i, r in enumerate(screen)), key=lambda t: -t[0])
+    kept = [groups[i] for _, i in coarse[:screen_keep]]
     best_sigma, best = -1.0, []
-    for _, i in coarse[:screen_keep]:
-        sigma = simulate(model, groups[i], T, n_samples).sigma
-        if sigma > best_sigma:
-            best_sigma, best = sigma, groups[i]
+    for g, res in zip(kept, simulate_groups(model, kept, T, n_samples)):
+        if res.sigma > best_sigma:
+            best_sigma, best = res.sigma, g
     return best

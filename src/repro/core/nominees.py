@@ -21,7 +21,7 @@ import heapq
 import numpy as np
 
 from repro.core.clustering import influence_region
-from repro.diffusion.local import simulate
+from repro.diffusion.local import simulate, simulate_groups
 from repro.dynamics.state import ModelData
 
 
@@ -94,14 +94,17 @@ def select_nominees(
     submodels: dict[int, ModelData] = {}
     locals_: dict[int, dict[int, int]] = {}
 
-    def marginal(u: int, x: int) -> float:
-        if scope == "full":
-            return _f(model, selected + [(u, x)], p.mc_plan, frozen=frozen) - f_sel
+    def region(u: int) -> tuple[ModelData, dict[int, int]]:
         if u not in submodels:
             sm = model.subgraph(influence_region(model, [u]))
             submodels[u] = sm
             locals_[u] = {int(g): i for i, g in enumerate(sm.orig_users)}
-        sm, loc = submodels[u], locals_[u]
+        return submodels[u], locals_[u]
+
+    def marginal(u: int, x: int) -> float:
+        if scope == "full":
+            return _f(model, selected + [(u, x)], p.mc_plan, frozen=frozen) - f_sel
+        sm, loc = region(u)
         base = [
             (loc[su], sx, 1) for su, sx in selected if su in loc
         ]
@@ -110,10 +113,29 @@ def select_nominees(
         s0 = simulate(sm, base, 1, p.mc_plan, frozen=frozen).sigma if base else 0.0
         return s1 - s0
 
+    # First CELF pass: with nothing selected, a candidate's marginal is
+    # its own f, scored one engine call per (sub)model.
+    first: dict[tuple[int, int], float] = {}
+    if scope == "full":
+        res = simulate_groups(
+            model, [[(u, x, 1)] for u, x in pool], 1, p.mc_plan, frozen=frozen
+        )
+        first = {pair: r.sigma for pair, r in zip(pool, res)}
+    else:
+        items: dict[int, list[int]] = {}
+        for u, x in pool:
+            items.setdefault(u, []).append(x)
+        for u, xs in items.items():
+            sm, loc = region(u)
+            res = simulate_groups(
+                sm, [[(loc[u], x, 1)] for x in xs], 1, p.mc_plan, frozen=frozen
+            )
+            first.update({(u, x): r.sigma for x, r in zip(xs, res)})
+
     # Heap of (-mcp, tie, u, x, evaluated_at_size); lazily re-evaluated.
     heap: list[tuple[float, tuple[int, int], int, int, int]] = []
     for u, x in pool:
-        heapq.heappush(heap, (-marginal(u, x) / model.cost[u, x], (u, x), u, x, 0))
+        heapq.heappush(heap, (-first[u, x] / model.cost[u, x], (u, x), u, x, 0))
 
     while heap:
         neg_mcp, _, u, x, at = heapq.heappop(heap)

@@ -20,15 +20,19 @@ local and Spark engines) that see the same ``(model.seed, sample, t,
 ζ, u', u, x, y)`` tuples draw the same uniforms — marginal-gain
 estimates get common random numbers for free.
 
-Samples are independent, so :func:`simulate` steps a *block* of them
-together: ``state.adopted[s0:s1]`` is viewed as ``[n·U, I]`` and a
-frontier pair is a row ``g = s·U + u`` (``s`` block-local) and an item.
-A block holds at most ``BLOCK_ROWS`` user rows (at least one sample);
-the per-event ``[events, I]`` arrays and the preference rows are
-formed ``CHUNK_ROWS`` at a time, which bounds memory. Neither size
-changes a result: every draw is keyed by the global sample index, each
-row's state is its own, and the kernels give the same bits for any
-batch (DESIGN.md §2, "Exactness of the batched engine").
+Samples are independent, and so are seed groups: :func:`simulate_groups`
+runs many groups in one pass, and :func:`simulate` is its one-group
+case. The groups are taken in chunks of at most ``BLOCK_ROWS`` user
+rows (at least one group); a chunk's (group, sample) pairs are its
+*virtual samples*, stepped in blocks: ``adopted`` of a block is viewed
+as ``[n·U, I]`` and a frontier pair is a row ``g = j·U + u`` (``j``
+block-local) and an item. A block holds at most ``BLOCK_ROWS`` user
+rows (at least one virtual sample); the per-event ``[events, I]``
+arrays and the preference rows are formed ``CHUNK_ROWS`` at a time,
+which bounds memory. No size changes a result: every draw is keyed by
+the global sample index and never by the group, each row's state is
+its own, and the kernels give the same bits for any batch (DESIGN.md
+§2, "Exactness of the batched engine").
 
 ``frozen=True`` freezes ``P_pref``/``P_act``/``r^C`` at their initial
 (nothing-adopted) values and skips weight updates — this is the static
@@ -37,6 +41,7 @@ what the one-shot baselines use internally.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +82,26 @@ def check_plan_inputs(budget: float, T: int) -> None:
         raise ValueError(f"T must be >= 1, got {T}")
 
 
+def _integral(v, what: str) -> int:
+    """``v`` as an int; ``ValueError`` unless it is an integral number."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"seed {what} {v!r} is not an integer") from None
+    if i != v:
+        raise ValueError(f"seed {what} {v!r} is not an integer")
+    return i
+
+
 def _group_seeds(
     model: ModelData, seeds, T: int, n_samples: int
 ) -> dict[int, list[tuple[int, int]]]:
     """Seed pairs by promotion, sorted; rejects inputs no engine can run.
 
-    Raises ``ValueError`` for ``T < 1``, ``n_samples < 1``, a timing
-    outside ``[1, T]``, a user or item id out of range, and a ``(user,
-    item)`` pair listed twice in one promotion.
+    Raises ``ValueError`` for ``T < 1``, ``n_samples < 1``, a
+    non-integral user, item or timing, a timing outside ``[1, T]``, a
+    user or item id out of range, and a ``(user, item)`` pair listed
+    twice in one promotion.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -92,13 +109,14 @@ def _group_seeds(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     by_t: dict[int, list[tuple[int, int]]] = {}
     for u, x, t in seeds:
+        u, x, t = _integral(u, "user"), _integral(x, "item"), _integral(t, "timing")
         if not 1 <= t <= T:
             raise ValueError(f"seed timing {t} outside [1, {T}]")
         if not 0 <= u < model.n_users:
             raise ValueError(f"seed user {u} outside [0, {model.n_users})")
         if not 0 <= x < model.n_items:
             raise ValueError(f"seed item {x} outside [0, {model.n_items})")
-        by_t.setdefault(int(t), []).append((int(u), int(x)))
+        by_t.setdefault(t, []).append((u, x))
     for t, pairs in by_t.items():
         pairs.sort()
         for a, b in zip(pairs, pairs[1:]):
@@ -109,16 +127,17 @@ def _group_seeds(
 
 @dataclass
 class _Block:
-    """Global samples ``s0 … s0+n−1`` of a run, as rows ``g = s·U + u``.
+    """Virtual samples ``j = 0 … n−1`` of a chunk, as rows ``g = j·U + u``.
 
-    ``adopted``/``wc``/``ws``/``adopt_t`` are ``[n·U, ·]`` views into
-    the run's arrays. ``pref`` caches ``P_pref`` rows in dynamic mode;
-    ``pref_ok`` marks the rows still current (a row goes stale when its
-    user adopts or re-weights).
+    Virtual sample ``j`` is global sample ``samp[j]`` of the chunk's
+    seed group ``grp[j]``. ``adopted``/``wc``/``ws``/``adopt_t`` are
+    ``[n·U, ·]`` views into the chunk's arrays. ``pref`` caches
+    ``P_pref`` rows in dynamic mode; ``pref_ok`` marks the rows still
+    current (a row goes stale when its user adopts or re-weights).
     """
 
-    s0: int
-    n: int
+    samp: np.ndarray
+    grp: np.ndarray
     adopted: np.ndarray
     wc: np.ndarray
     ws: np.ndarray
@@ -126,6 +145,10 @@ class _Block:
     ad_count: np.ndarray
     pref: np.ndarray
     pref_ok: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.samp)
 
 
 def simulate(
@@ -150,40 +173,115 @@ def simulate(
     if first_sample < 0:
         raise ValueError(f"first_sample must be >= 0, got {first_sample}")
     by_t = _group_seeds(model, seeds, T, n_samples)
+    return next(_run_groups(model, [by_t], T, n_samples, frozen, trial_salt, first_sample))
+
+
+def simulate_groups(
+    model: ModelData,
+    groups,
+    T: int,
+    n_samples: int,
+    *,
+    frozen: bool = False,
+    trial_salt: int = 0,
+) -> Iterator[SimResult]:
+    """:func:`simulate` of each seed group in ``groups``, sharing engine blocks.
+
+    Result ``i`` equals ``simulate(model, groups[i], T, n_samples, …)``
+    bit for bit: every draw is keyed by the sample, never by the group,
+    so which groups share a block changes no draw. Every group is
+    checked before any is simulated; a bad one raises ``ValueError``
+    naming its index. The results come lazily, one chunk of groups at a
+    time (:func:`_run_groups`), so a caller that keeps only σ holds the
+    state of one chunk, not of every group.
+    """
+    by_ts = []
+    for i, seeds in enumerate(groups):
+        try:
+            by_ts.append(_group_seeds(model, seeds, T, n_samples))
+        except ValueError as exc:
+            raise ValueError(f"seed group {i}: {exc}") from None
+    return _run_groups(model, by_ts, T, n_samples, frozen, trial_salt, 0)
+
+
+def _run_groups(model, by_ts, T, n_samples, frozen, salt, first_sample) -> Iterator[SimResult]:
+    """Simulate the groups in chunks of at most ``BLOCK_ROWS`` user rows.
+
+    A chunk holds at least one group; a group larger than a block has
+    its samples split over several blocks.
+    """
+    per_chunk = max(1, BLOCK_ROWS // (n_samples * model.n_users))
+    for c in range(0, len(by_ts), per_chunk):
+        yield from _run_chunk(
+            model, by_ts[c:c + per_chunk], T, n_samples, frozen, salt, first_sample
+        )
+
+
+def _run_chunk(model, by_ts, T, n_samples, frozen, salt, first_sample) -> list[SimResult]:
+    """The results of one chunk of groups; their arrays are views of the chunk's."""
     U, I = model.n_users, model.n_items
-    state = init_state(model, n_samples)
-    adopt_t = np.zeros((n_samples, U, I), dtype=np.int16)
+    n = len(by_ts) * n_samples
+    state = init_state(model, n)
+    adopt_t = np.zeros((n, U, I), dtype=np.int16)
+    seeds = _seed_table(by_ts, T)
+    samp = np.tile(np.arange(first_sample, first_sample + n_samples), len(by_ts))
+    grp = np.repeat(np.arange(len(by_ts)), n_samples)
 
     per_block = max(1, BLOCK_ROWS // U)
-    for s0 in range(0, n_samples, per_block):
-        s1 = min(s0 + per_block, n_samples)
-        rows = (s1 - s0) * U
+    for j0 in range(0, n, per_block):
+        j1 = min(j0 + per_block, n)
+        rows = (j1 - j0) * U
         blk = _Block(
-            s0=first_sample + s0,
-            n=s1 - s0,
-            adopted=state.adopted[s0:s1].reshape(rows, I),
-            wc=state.wc[s0:s1].reshape(rows, -1),
-            ws=state.ws[s0:s1].reshape(rows, -1),
-            adopt_t=adopt_t[s0:s1].reshape(rows, I),
+            samp=samp[j0:j1],
+            grp=grp[j0:j1],
+            adopted=state.adopted[j0:j1].reshape(rows, I),
+            wc=state.wc[j0:j1].reshape(rows, -1),
+            ws=state.ws[j0:j1].reshape(rows, -1),
+            adopt_t=adopt_t[j0:j1].reshape(rows, I),
             ad_count=np.zeros(rows, dtype=np.int64),
             pref=np.empty((0, I) if frozen else (rows, I)),
             pref_ok=np.zeros(rows, dtype=bool),
         )
-        _run_block(model, blk, by_t, T, frozen, trial_salt)
+        _run_block(model, blk, seeds, T, frozen, salt)
 
-    sigma, sigma_by_t = sigma_from_adopt_t(adopt_t, model.importance, T)
-    return SimResult(state, adopt_t, sigma, sigma_by_t)
+    results = []
+    for k in range(len(by_ts)):
+        s = slice(k * n_samples, (k + 1) * n_samples)
+        sigma, sigma_by_t = sigma_from_adopt_t(adopt_t[s], model.importance, T)
+        results.append(SimResult(
+            WorldState(state.adopted[s], state.wc[s], state.ws[s]),
+            adopt_t[s], sigma, sigma_by_t,
+        ))
+    return results
 
 
-def _run_block(model, blk, by_t, T, frozen, salt) -> None:
+def _seed_table(by_ts, T) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per promotion with seeds: a CSR ``(start, u, x)`` over the groups.
+
+    Group ``k``'s seed pairs of promotion ``t`` are
+    ``u[start[k]:start[k+1]]``, ``x[…]``, sorted.
+    """
+    table = {}
+    for t in range(1, T + 1):
+        pairs = [by_t.get(t, []) for by_t in by_ts]
+        if not any(pairs):
+            continue
+        start = np.concatenate([[0], np.cumsum([len(p) for p in pairs])])
+        ux = np.array([pair for p in pairs for pair in p], dtype=np.int64)
+        table[t] = (start, ux[:, 0], ux[:, 1])
+    return table
+
+
+def _run_block(model, blk, seeds, T, frozen, salt) -> None:
     U = model.n_users
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
         f_g, f_x = _EMPTY, _EMPTY
-        if t in by_t:
-            u, x = np.asarray(by_t[t], dtype=np.int64).T
-            g = (np.arange(blk.n, dtype=np.int64)[:, None] * U + u).ravel()
-            x = np.tile(x, blk.n)
+        if t in seeds:
+            start, su, sx = seeds[t]
+            idx, counts = csr_ranges(start, blk.grp)
+            g = np.repeat(np.arange(blk.n, dtype=np.int64) * U, counts) + su[idx]
+            x = sx[idx]
             new = ~blk.adopted[g, x]
             f_g, f_x = g[new], x[new]
         _apply_adoptions(model, blk, f_g, f_x, t, frozen)
@@ -208,13 +306,11 @@ def _apply_adoptions(model, blk, g, x, t, frozen) -> None:
     if frozen:
         return
     blk.pref_ok[g] = False
-    rows, starts = np.unique(g, return_index=True)
-    ends = np.append(starts[1:], len(g))
-    p = model.params
-    for r, a, b in zip(rows.tolist(), starts.tolist(), ends.tolist()):
-        blk.wc[r], blk.ws[r] = kernels.update_weights(
-            blk.wc[r], blk.ws[r], blk.adopted[r], x[a:b], model.s_c, model.s_s, p.eta
-        )
+    rows, new_row = np.unique(g, return_inverse=True)
+    blk.wc[rows], blk.ws[rows] = kernels.update_weights(
+        blk.wc[rows], blk.ws[rows], blk.adopted[rows], new_row, x,
+        model.s_c, model.s_s, model.params.eta,
+    )
 
 
 def _step(model, blk, f_g, f_x, t, zeta, frozen, salt):
@@ -235,10 +331,8 @@ def _step(model, blk, f_g, f_x, t, zeta, frozen, salt):
 
     if not frozen:
         _fill_pref(model, blk, np.unique(ev_gd))
-    # Keys (salt, sample, t, ζ, …) folded once per sample of the block.
-    prefix = fold(
-        model.seed, TAG_TRIAL, salt, np.arange(blk.s0, blk.s0 + blk.n), t, zeta
-    )
+    # Keys (salt, sample, t, ζ, …) folded once per virtual sample of the block.
+    prefix = fold(model.seed, TAG_TRIAL, salt, blk.samp, t, zeta)
     keys = [
         _trials(
             model, blk, prefix, e_idx[c:c + CHUNK_ROWS], ev_s[c:c + CHUNK_ROWS],

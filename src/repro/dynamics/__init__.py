@@ -3,7 +3,6 @@ from repro.dynamics.kernels import (
     init_weights,
     normalize_rows,
     influence_strength,
-    weight_gains,
     update_weights,
 )
 from repro.dynamics.state import ModelData, WorldState, init_state
@@ -12,7 +11,6 @@ __all__ = [
     "init_weights",
     "normalize_rows",
     "influence_strength",
-    "weight_gains",
     "update_weights",
     "ModelData",
     "WorldState",

@@ -121,32 +121,40 @@ def influence_strength(
     return np.clip(base_inf + gamma * jac, act_floor, act_cap)
 
 
-def weight_gains(
-    adopted_after_u: np.ndarray, new_items: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Unnormalized weight reinforcement for one class (factor 1 update).
-
-    ``gain[m] = Σ_{y ∈ new} Σ_{a ∈ A_after(u)\\{y}} s(a, y | m)`` — each
-    meta-graph is reinforced by the relevance its instances assign
-    between the newly adopted items and everything the user now owns
-    (the diagonal of ``s`` is zero, so ``a ≠ y`` is automatic; pairs of
-    two new items are counted symmetrically, order-free).
-    """
-    ad = np.asarray(adopted_after_u, dtype=np.float64)
-    new_items = np.asarray(new_items, dtype=np.int64)
-    return np.einsum("a,may->m", ad, s[:, :, new_items])
-
-
 def update_weights(
-    wc_u: np.ndarray,
-    ws_u: np.ndarray,
-    adopted_after_u: np.ndarray,
-    new_items: np.ndarray,
+    wc_rows: np.ndarray,
+    ws_rows: np.ndarray,
+    adopted_rows: np.ndarray,
+    new_row: np.ndarray,
+    new_item: np.ndarray,
     s_c: np.ndarray,
     s_s: np.ndarray,
     eta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reinforce and renormalize one user's weightings after adoptions."""
-    wc = normalize_rows(wc_u + eta * weight_gains(adopted_after_u, new_items, s_c))
-    ws = normalize_rows(ws_u + eta * weight_gains(adopted_after_u, new_items, s_s))
-    return wc, ws
+    """Reinforce and renormalize the weightings of a batch of rows (factor 1).
+
+    Row ``r`` (weightings ``wc_rows[r]``/``ws_rows[r]``, adoptions after
+    the step ``adopted_rows[r]``) newly adopted the items ``new_item[i]``
+    with ``new_row[i] == r``, listed by row, then by ascending item. Per
+    class, ``gain[r, m] = Σ_{y ∈ new(r)} Σ_{a ∈ A_after(r)\\{y}} s(a, y |
+    m)``: each meta-graph is reinforced by the relevance its instances
+    assign between the newly adopted items and everything the row now
+    owns (the diagonal of ``s`` is zero, so ``a ≠ y`` is automatic).
+
+    Rows are batched by their number ``k`` of new items: the gains of a
+    batch are one ``einsum("ra,rmay->rm")`` over the gathered
+    ``s[:, :, new items]``, which reduces each row in the order the
+    one-row ``einsum("a,may->m")`` does, so a row's bits do not depend on
+    its batch (the tests check this).
+    """
+    ad = np.asarray(adopted_rows, dtype=np.float64)
+    counts = np.bincount(new_row, minlength=len(ad))
+    first = np.cumsum(counts) - counts
+    gain_c = np.zeros((len(ad), s_c.shape[0]))
+    gain_s = np.zeros((len(ad), s_s.shape[0]))
+    for k in np.unique(counts[counts > 0]).tolist():
+        r = np.flatnonzero(counts == k)
+        items = new_item[first[r][:, None] + np.arange(k)]  # [R, k]
+        for gain, s in ((gain_c, s_c), (gain_s, s_s)):
+            gain[r] = np.einsum("ra,rmay->rm", ad[r], s[:, :, items].transpose(2, 0, 1, 3))
+    return normalize_rows(wc_rows + eta * gain_c), normalize_rows(ws_rows + eta * gain_s)

@@ -1,13 +1,16 @@
 """Golden values: seed lists and σ that must reproduce exactly.
 
-Every value below is written out as a literal, copied from the
-benchmark's golden values at dataset seed 7 (not imported, so the two
-cannot drift together). The small100 T2 row (b=8, T=3) and the
-amazon_lite flagship seed group (Dysim b=60, T=10) are those behind the
-committed ``table_results.md``; OPT at b=4 is the benchmark's short OPT
-cell. σ is the local engine's at trial salt 0 and is compared with
-``==``: a change that moves a float reduction order or a CELF tie-break
-fails here, not only in a paper table.
+Every value below is written out as a literal at dataset seed 7 (not
+imported, so it cannot drift with its source). The small100 T2 row
+(b=8, T=3), OPT at b=4 (the benchmark's short OPT cell) and the
+amazon_lite flagship seed group (Dysim b=60, T=10) are copied from the
+benchmark's golden values, which are those behind the committed
+``table_results.md``. OPT at b=4, T=5, the first cell of table T1 (σ
+printed there as 3.98), is the harness ``Runner``'s cell before the
+engine learned to run many seed groups per call. σ is the local
+engine's at trial salt 0 and is compared with ``==``: a change that
+moves a float reduction order or a CELF tie-break fails here, not only
+in a paper table.
 """
 import pytest
 
@@ -34,6 +37,7 @@ T2_ROW = {
     "ps": ([(74, 0, 2), (80, 0, 1), (9, 0, 1), (16, 0, 2)], 5.60606023315159),
 }
 OPT_B4 = ([(80, 0, 2), (46, 0, 3)], 3.7692693698992015)
+OPT_B4_T5 = ([(80, 0, 4), (46, 0, 3)], 3.9818905772610544)
 
 FLAGSHIP_SEEDS = [
     (299, 9, 1), (1740, 0, 1), (299, 0, 2), (919, 0, 2), (199, 0, 3),
@@ -71,6 +75,14 @@ def test_opt_b4(small):
     seeds = [tuple(int(v) for v in s) for s in opt_bruteforce(small, 4, 3)]
     assert seeds == OPT_B4[0]
     assert simulate(small, seeds, 3, M_EVAL).sigma == OPT_B4[1]
+
+
+def test_opt_b4_t5(small):
+    seeds = [tuple(int(v) for v in s) for s in opt_bruteforce(small, 4, 5)]
+    assert seeds == OPT_B4_T5[0]
+    sigma = simulate(small, seeds, 5, M_EVAL).sigma
+    assert sigma == OPT_B4_T5[1]
+    assert round(sigma, 2) == 3.98  # table_results.md, T1, b=4
 
 
 def test_flagship_seed_group_sigma():

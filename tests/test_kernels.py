@@ -207,39 +207,99 @@ class TestRelevanceRow:
         assert personal_relevance(np.ones(2), s)[2][2] == 0.0
 
 
+def _update_one(wc, ws, adopted, new_items, s_c, s_s, eta):
+    """``update_weights`` on a batch of one row."""
+    new_items = np.asarray(new_items)
+    wc, ws = kernels.update_weights(
+        wc[None], ws[None], adopted[None], np.zeros(len(new_items), np.int64),
+        new_items, s_c, s_s, eta,
+    )
+    return wc[0], ws[0]
+
+
 class TestWeightUpdates:
     def test_gain_hand_example(self):
         s = np.zeros((2, 3, 3))
         s[0, 0, 2] = s[0, 2, 0] = 0.5  # meta 0 relates items 0 and 2
         ad_after = np.array([True, False, True])  # owns 0, newly adopted 2
-        gains = kernels.weight_gains(ad_after, np.array([2]), s)
-        assert gains[0] == pytest.approx(0.5)
-        assert gains[1] == pytest.approx(0.0)
+        w = np.full(2, 0.5)
+        wc, _ = _update_one(w, w, ad_after, [2], s, s, 1.0)
+        # gains [0.5, 0]: normalize([0.5 + 0.5, 0.5 + 0]) = [2/3, 1/3]
+        assert wc == pytest.approx([2 / 3, 1 / 3])
 
     def test_update_reinforces_matching_meta(self):
         s_c = np.zeros((2, 3, 3))
         s_c[0, 0, 1] = s_c[0, 1, 0] = 1.0
         s_s = np.zeros((2, 3, 3))
         ad = np.array([True, True, False])
-        wc, ws = kernels.update_weights(
-            np.full(2, 0.5), np.full(2, 0.5), ad, np.array([1]), s_c, s_s, 0.5
-        )
+        wc, ws = _update_one(np.full(2, 0.5), np.full(2, 0.5), ad, [1], s_c, s_s, 0.5)
         assert wc[0] > wc[1]  # meta 0 explained the co-adoption
         assert np.allclose(wc.sum(), 1.0)
         assert np.allclose(ws, 0.5)  # no substitutable instances -> unchanged
 
     def test_no_relevance_no_change(self):
         s = np.zeros((2, 3, 3))
-        wc, ws = kernels.update_weights(
+        wc, ws = _update_one(
             np.array([0.6, 0.4]), np.array([0.3, 0.7]),
-            np.array([True, False, True]), np.array([2]), s, s, 0.5,
+            np.array([True, False, True]), [2], s, s, 0.5,
         )
         assert np.allclose(wc, [0.6, 0.4])
         assert np.allclose(ws, [0.3, 0.7])
 
     def test_two_new_items_symmetric(self):
+        """Two new items reinforce by the relevance of the pair, both ways."""
         s = _toy_tensors(2, 4)
         ad = np.array([False, True, True, False])
-        g12 = kernels.weight_gains(ad, np.array([1, 2]), s)
-        g21 = kernels.weight_gains(ad, np.array([2, 1]), s)
-        assert np.allclose(g12, g21)
+        w = np.full(2, 0.5)
+        wc, _ = _update_one(w, w, ad, [1, 2], s, s, 1.0)
+        gain = s[:, 1, 2] + s[:, 2, 1]
+        assert np.allclose(wc, (w + gain) / (w + gain).sum())
+
+
+def _per_row_update(wc, ws, adopted, new_row, new_item, s_c, s_s, eta):
+    """The per-row form of ``update_weights``: the exactness oracle."""
+    out_c, out_s = wc.copy(), ws.copy()
+    for r in range(len(wc)):
+        new = new_item[new_row == r]
+        ad = adopted[r].astype(np.float64)
+        for out, w, s in ((out_c, wc, s_c), (out_s, ws, s_s)):
+            out[r] = kernels.normalize_rows(w[r] + eta * np.einsum("a,may->m", ad, s[:, :, new]))
+    return out_c, out_s
+
+
+class TestUpdateWeightsExact:
+    """The batched weight update gives each row the per-row einsum's bits."""
+
+    @pytest.fixture(scope="class")
+    def amazon(self):
+        from repro.data.datasets import make_dataset
+
+        return make_dataset("amazon_lite").model
+
+    @pytest.mark.parametrize("rows, max_new", [(1, 1), (1, 12), (7, 3), (64, 12), (600, 12)])
+    def test_equals_per_row_einsum(self, amazon, rows, max_new):
+        m = amazon
+        g = np.random.default_rng(rows * 100 + max_new)
+        I = m.n_items
+        k = g.integers(1, max_new + 1, rows)  # mixed counts of new items in one batch
+        ad = g.random((rows, I)) < g.random(rows)[:, None] * 0.3
+        new_row, new_item = [], []
+        for r in range(rows):
+            new = np.sort(g.choice(I, k[r], replace=False))
+            if r % 5 == 1:
+                ad[r] = False  # owns only its one new item: zero gain
+                new = new[:1]
+            ad[r, new] = True
+            new_row += [r] * len(new)
+            new_item += new.tolist()
+        new_row, new_item = np.array(new_row), np.array(new_item)
+        wc = kernels.normalize_rows(g.random((rows, m.n_comp)))
+        ws = kernels.normalize_rows(g.random((rows, m.n_subs)))
+        args = (wc, ws, ad, new_row, new_item, m.s_c, m.s_s, m.params.eta)
+        got_c, got_s = kernels.update_weights(*args)
+        want_c, want_s = _per_row_update(*args)
+        assert np.array_equal(got_c, want_c)
+        assert np.array_equal(got_s, want_s)
+        if rows > 1:  # row 1 owns only its new item: its gain is zero
+            new = new_item[new_row == 1]
+            assert not np.einsum("a,may->m", ad[1].astype(float), m.s_c[:, :, new]).any()

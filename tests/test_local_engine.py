@@ -115,11 +115,28 @@ class TestEngineProperties:
         with pytest.raises(ValueError, match="T must be >= 1"):
             simulate(small, [], T=T, n_samples=2)
 
+    @pytest.mark.parametrize(
+        "seed, what",
+        [((3, 0, 1.5), "timing"), ((3.7, 0, 1), "user"), ((3, 0.5, 1), "item"),
+         ((3, 0, "1"), "timing"), ((3, None, 1), "item"), ((3, 0, float("nan")), "timing")],
+    )
+    def test_non_integral_rejected(self, small, seed, what):
+        with pytest.raises(ValueError, match=f"seed {what} .* is not an integer"):
+            simulate(small, [seed], T=3, n_samples=2)
+
+    def test_integral_values_of_any_type_accepted(self, small):
+        want = simulate(small, [(3, 0, 2), (5, 1, 1)], T=3, n_samples=2)
+        got = simulate(small, [(np.int64(3), np.int32(0), 2.0), (5.0, 1, np.int8(1))], T=3,
+                       n_samples=2)
+        assert _same_run(got, want)
+
     def test_spark_engine_shares_the_check(self, small):
         from repro.diffusion.spark_engine import simulate_spark
 
         with pytest.raises(ValueError):  # raised before any Spark work
             simulate_spark(None, small, [(0, -1, 1)], T=2, n_samples=2)
+        with pytest.raises(ValueError, match="not an integer"):
+            simulate_spark(None, small, [(3, 0, 1.5)], T=2, n_samples=2)
         with pytest.raises(ValueError, match="T must be >= 1"):
             simulate_spark(None, small, [], T=0, n_samples=2)
 
@@ -249,3 +266,83 @@ class TestSampleBatchingExact:
     def test_negative_offset_rejected(self, small):
         with pytest.raises(ValueError, match="first_sample"):
             simulate(small, [], T=1, n_samples=2, first_sample=-1)
+
+
+# Seed groups of mixed sizes and timings, an empty one included.
+_GROUPS = {
+    "small100": [
+        [(0, 0, 1), (5, 2, 1), (9, 0, 2)],
+        [],
+        [(71, 3, 3)],
+        [(12, 1, 2), (0, 0, 3), (5, 2, 3), (9, 1, 1), (71, 0, 2)],
+        [(9, 0, 1)],
+    ],
+    "amazon_lite": [
+        [(299, 9, 1), (1740, 0, 1)],
+        [],
+        [(919, 0, 2), (733, 23, 3), (299, 0, 2)],
+        [(1740, 0, 3)],
+    ],
+}
+_M = 3  # samples per group
+
+
+@pytest.fixture(scope="module")
+def per_group_runs(small, amazon):
+    """``simulate`` of each group, per (preset, frozen, salt), at default sizes."""
+    models = {"small100": small, "amazon_lite": amazon}
+    cache = {}
+
+    def get(preset, frozen, salt):
+        key = (preset, frozen, salt)
+        if key not in cache:
+            cache[key] = [
+                simulate(models[preset], g, T=3, n_samples=_M, frozen=frozen, trial_salt=salt)
+                for g in _GROUPS[preset]
+            ]
+        return cache[key]
+
+    return get
+
+
+class TestSimulateGroupsExact:
+    """``simulate_groups`` gives each group the bits of its own ``simulate``."""
+
+    @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("salt", [0, 11])
+    @pytest.mark.parametrize("sizes", ["default", "one", "split", "two-groups"])
+    def test_equals_per_group_simulate(
+        self, request, monkeypatch, per_group_runs, preset, frozen, salt, sizes
+    ):
+        model = request.getfixturevalue("small" if preset == "small100" else "amazon")
+        U = model.n_users
+        if sizes == "one":
+            monkeypatch.setattr(local_engine, "BLOCK_ROWS", 1)
+            monkeypatch.setattr(local_engine, "CHUNK_ROWS", 1)
+        elif sizes == "split":  # one group per chunk, its samples in blocks of 2 and 1
+            monkeypatch.setattr(local_engine, "BLOCK_ROWS", 2 * U)
+        elif sizes == "two-groups":  # two groups share each chunk and block
+            monkeypatch.setattr(local_engine, "BLOCK_ROWS", (2 * _M + 1) * U)
+        got = list(local_engine.simulate_groups(
+            model, _GROUPS[preset], T=3, n_samples=_M, frozen=frozen, trial_salt=salt
+        ))
+        want = per_group_runs(preset, frozen, salt)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _same_run(a, b)
+            assert a.sigma == b.sigma
+            assert np.array_equal(a.sigma_by_t, b.sigma_by_t)
+        assert want[1].sigma == 0.0 and want[0].adopt_t.any()
+
+    def test_bad_group_fails_before_any_simulation(self, small, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before every group was checked")
+
+        monkeypatch.setattr(local_engine, "_run_chunk", no_simulation)
+        groups = [[(0, 0, 1)], [], [(0, 0, 1), (3, 0, 1.5)], [(0, -1, 1)]]
+        with pytest.raises(ValueError, match=r"seed group 2: seed timing 1\.5"):
+            list(local_engine.simulate_groups(small, groups, T=3, n_samples=2))
+
+    def test_no_groups(self, small):
+        assert list(local_engine.simulate_groups(small, [], T=3, n_samples=2)) == []
