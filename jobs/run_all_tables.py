@@ -41,30 +41,30 @@ def main(argv=None) -> int:
 
     if args.quick:
         specs = [
-            ("T1 (Fig 5a) sigma vs budget, small100 vs OPT",
+            ("T1 (Fig 5a) sigma vs budget, small100 vs OPT (T=2)",
              lambda: H.table_t1_opt_budget(r, budgets=(6,), T=2)),
-            ("T3 (Fig 6a-c) sigma vs budget, large",
+            ("T3 (Fig 6a-c) sigma vs budget, large datasets (T=5)",
              lambda: H.table_t3_large_budget(r, datasets=("yelp_lite",), budgets=(40,), T=5)),
         ]
     else:
         specs = [
-            ("T1 (Fig 5a) sigma vs budget, small100 vs OPT",
+            ("T1 (Fig 5a) sigma vs budget, small100 vs OPT (T=5)",
              lambda: H.table_t1_opt_budget(r)),
-            ("T2 (Fig 5b) sigma vs #promotions, small100 vs OPT",
+            ("T2 (Fig 5b) sigma vs #promotions, small100 vs OPT (b=8)",
              lambda: H.table_t2_opt_T(r)),
-            ("T3 (Fig 6a-c) sigma vs budget, large datasets",
+            ("T3 (Fig 6a-c) sigma vs budget, large datasets (T=10)",
              lambda: H.table_t3_large_budget(r)),
-            ("T4 (Fig 6e-f) sigma vs #promotions, large datasets",
+            ("T4 (Fig 6e-f) sigma vs #promotions, large datasets (yelp b=25, amazon b=60)",
              lambda: H.table_t4_large_T(r)),
-            ("T5 (Fig 6d) planner time (s) vs budget, amazon_lite",
+            ("T5 (Fig 6d) planner time (s) vs budget, amazon_lite (T=10)",
              lambda: H.table_t5_time_budget(r)),
-            ("T6 (Fig 6g) planner time (s) vs #promotions, amazon_lite",
+            ("T6 (Fig 6g) planner time (s) vs #promotions, amazon_lite (b=60)",
              lambda: H.table_t6_time_T(r)),
-            ("T7 (Fig 6h) Dysim scalability across datasets",
+            ("T7 (Fig 6h) Dysim scalability across datasets (b=60, T=10)",
              lambda: H.table_t7_scalability(r)),
-            ("T8 (Fig 7a) sensitivity to #meta-graphs, amazon_lite",
+            ("T8 (Fig 7a) sensitivity to #meta-graphs in planning, amazon_lite (b=60, T=10)",
              lambda: H.table_t8_metagraphs(r)),
-            ("T9 (Fig 7b) sensitivity to theta, amazon_lite",
+            ("T9 (Fig 7b) sensitivity to theta, amazon_lite (b=60, T=10)",
              lambda: H.table_t9_theta(r)),
         ]
 

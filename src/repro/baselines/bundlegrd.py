@@ -21,7 +21,7 @@ import heapq
 import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
-from repro.core.nominees import _f
+from repro.core.tdsi import MarketEvaluator
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 
@@ -34,38 +34,30 @@ def bundlegrd(model: ModelData, budget: float, T: int) -> list[tuple[int, int, i
     p = model.params
     bundle = [int(x) for x in np.argsort(-model.importance)[:BUNDLE_SIZE]]
     cand_users = [int(u) for u in np.argsort(-model.out_deg)[: p.cand_users]]
+    ev = MarketEvaluator(model, 1, p.mc_plan, frozen=True)
 
     def user_cost(u: int) -> float:
         return float(sum(model.cost[u, x] for x in bundle))
 
+    def seeds_of(users: list[int]) -> list[tuple[int, int, int]]:
+        return [(u, x, 1) for u in users for x in bundle]
+
+    affordable = [u for u in cand_users if user_cost(u) <= budget]
+    heap: list[tuple[float, int, int]] = []
+    for u, gain in zip(affordable, ev.sigmas([seeds_of([u]) for u in affordable])):
+        heapq.heappush(heap, (-gain / user_cost(u), u, 0))
     selected_users: list[int] = []
     spent = 0.0
-    f_sel = 0.0
-
-    def f_of(users: list[int]) -> float:
-        return _f(
-            model, [(u, x) for u in users for x in bundle], p.mc_plan, frozen=True
-        )
-
-    heap: list[tuple[float, int, int]] = []
-    for u in cand_users:
-        if user_cost(u) > budget:
-            continue
-        gain = f_of([u])
-        heapq.heappush(heap, (-gain / user_cost(u), u, 0))
     while heap:
-        neg, u, at = heapq.heappop(heap)
+        _, u, at = heapq.heappop(heap)
         c = user_cost(u)
         if spent + c > budget:
             continue
         if at < len(selected_users):
-            f_new = f_of(selected_users + [u])
+            f_new, f_sel = ev.sigmas([seeds_of(selected_users + [u]), seeds_of(selected_users)])
             heapq.heappush(heap, (-(f_new - f_sel) / c, u, len(selected_users)))
             continue
-        f_sel = f_of(selected_users + [u])
         selected_users.append(u)
         spent += c
 
-    groups = [[(u, x) for x in bundle] for u in selected_users]
-    pairs = [pr for g in groups for pr in g]
-    return cr_greedy_timings(model, pairs, T, groups=groups)
+    return cr_greedy_timings(model, [[(u, x) for x in bundle] for u in selected_users], T)

@@ -24,19 +24,14 @@ MAX_TIMINGS = 8  # candidate rounds per group: a stride grid over [1, T]
 
 
 def cr_greedy_timings(
-    model: ModelData,
-    pairs: list[tuple[int, int]],
-    T: int,
-    *,
-    groups: list[list[tuple[int, int]]] | None = None,
+    model: ModelData, groups: list[list[tuple[int, int]]], T: int
 ) -> list[tuple[int, int, int]]:
-    """Assign a promotion round to every pair (or group of pairs).
+    """Assign one promotion round to each group of ``(user, item)`` pairs.
 
-    ``groups`` lets BundleGRD schedule one user's whole bundle at one
-    round; default is one group per pair. Returns ``(u, x, t)`` seeds.
+    A group's pairs share their round (BundleGRD schedules one user's
+    whole bundle together; HAG and PS pass one pair per group). Returns
+    ``(u, x, t)`` seeds.
     """
-    if groups is None:
-        groups = [[pr] for pr in pairs]
     if not groups:
         return []
     sub = model.subgraph(influence_region(model, [u for g in groups for u, _ in g]))
@@ -46,14 +41,9 @@ def cr_greedy_timings(
 
     assigned: list[tuple[int, int, int]] = []
     for g in groups:
-        base, _ = ev.sigma_pi(assigned)
-        best = None
-        for t in grid:
-            cand = assigned + [(u, x, t) for u, x in g]
-            sig, _ = ev.sigma_pi(cand)
-            score = (sig - base, -t)
-            if best is None or score > best[0]:
-                best = (score, t)
-        t_star = best[1]
-        assigned.extend((u, x, t_star) for u, x in g)
+        base, *sigmas = ev.sigmas(
+            [assigned] + [assigned + [(u, x, t) for u, x in g] for t in grid]
+        )
+        _, neg_t = max((sig - base, -t) for sig, t in zip(sigmas, grid))
+        assigned.extend((u, x, -neg_t) for u, x in g)
     return assigned

@@ -25,4 +25,4 @@ def hag(
     """Select pairs by cost-aware frozen greedy; schedule with CR-Greedy."""
     check_plan_inputs(budget, T)
     pairs = select_nominees(model, budget, max_pairs=max_pairs, frozen=True, scope="full")
-    return cr_greedy_timings(model, pairs, T)
+    return cr_greedy_timings(model, [[pr] for pr in pairs], T)

@@ -62,4 +62,4 @@ def ps(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
         selected.append((u, x))
         spent += c
         cov[:, x] = 1.0 - (1.0 - cov[:, x]) * (1.0 - reach[u])
-    return cr_greedy_timings(model, selected, T)
+    return cr_greedy_timings(model, [[pr] for pr in selected], T)

@@ -91,12 +91,11 @@ def dysim(
                     window = timing_window(
                         seeds + group_seeds, T, T_market, prev_last_t
                     )
-                    si_t = [
-                        (substantial_influence(ev, group_seeds, (u, x, t), T), -t)
-                        for t in window
-                    ]
-                    si, neg_t = max(si_t)
-                    return si, -neg_t
+                    si = substantial_influence(
+                        ev, group_seeds, [(u, x, t) for t in window], T
+                    )
+                    best, neg_t = max(zip(si, (-t for t in window)))
+                    return best, -neg_t
 
                 heap: list[tuple[float, int, int, int, int]] = []
                 for u, x in n_p:

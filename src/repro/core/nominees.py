@@ -21,7 +21,7 @@ import heapq
 import numpy as np
 
 from repro.core.clustering import influence_region
-from repro.diffusion.local import simulate, simulate_groups
+from repro.core.tdsi import MarketEvaluator
 from repro.dynamics.state import ModelData
 
 
@@ -48,24 +48,10 @@ def candidate_pool(model: ModelData, *, max_pairs: int = 150) -> list[tuple[int,
     return [(u, x) for _, u, x in pairs[:max_pairs]]
 
 
-def _f(model: ModelData, nominees, n_samples: int, *, frozen: bool = False) -> float:
-    """The TMI objective ``f``: σ with the nominees seeded at t = 1.
-
-    Sec. IV-B assigns ``P_pref``/``P_act``/``P_ext`` "at the beginning
-    of this promotion" — the initial state snapshot — and then measures
-    the importance-aware influence σ, i.e., the *dynamic* diffusion of
-    one promotion. ``frozen=True`` is the dynamics-blind variant used
-    by the HAG/BundleGRD baselines.
-    """
-    seeds = [(u, x, 1) for u, x in nominees]
-    return simulate(model, seeds, T=1, n_samples=n_samples, frozen=frozen).sigma
-
-
 def select_nominees(
     model: ModelData,
     budget: float,
     *,
-    pool: list[tuple[int, int]] | None = None,
     max_pairs: int = 150,
     frozen: bool = False,
     scope: str = "local",
@@ -73,64 +59,50 @@ def select_nominees(
     """Greedy MCP selection with lazy (CELF) re-evaluation.
 
     Returns nominees in selection order; their total cost is ≤ budget.
-    ``frozen`` selects the dynamics-blind objective (for the baselines).
+    The objective ``f`` is σ with the nominees seeded at t = 1: Sec.
+    IV-B assigns ``P_pref``/``P_act``/``P_ext`` "at the beginning of
+    this promotion" — the initial state snapshot — and then measures
+    the importance-aware influence of one promotion. ``frozen`` selects
+    the dynamics-blind objective (for the baselines).
 
-    ``scope="local"`` (Dysim's mode) evaluates each candidate's
-    marginal on the submodel induced by the candidate user's MIOA
-    influence region (selected nominees inside the region included) —
-    a bounded-cost approximation of the full marginal that keeps TMI
+    A candidate's marginal is ``f(base + cand) − f(base)`` on a
+    :class:`MarketEvaluator`. ``scope="local"`` (Dysim's mode) uses one
+    evaluator per candidate user, on the submodel induced by the user's
+    MIOA influence region (``base`` is the selected nominees inside it)
+    — a bounded-cost approximation of the full marginal that keeps TMI
     fast regardless of budget (the paper credits TMI's speed for
-    Fig. 6(d)). ``scope="full"`` evaluates exact marginals on the full
-    model (used by the HAG baseline, whose cost then grows with the
-    number of selected seeds, as the paper observes).
+    Fig. 6(d)). ``scope="full"`` uses one evaluator on the full model,
+    so the marginals are exact (used by the HAG baseline, whose cost
+    then grows with the number of selected seeds, as the paper
+    observes).
     """
     p = model.params
-    if pool is None:
-        pool = candidate_pool(model, max_pairs=max_pairs)
+    pool = candidate_pool(model, max_pairs=max_pairs)
     selected: list[tuple[int, int]] = []
     spent = 0.0
-    f_sel = 0.0
 
-    submodels: dict[int, ModelData] = {}
-    locals_: dict[int, dict[int, int]] = {}
+    evaluators: dict[int | None, MarketEvaluator] = {}
 
-    def region(u: int) -> tuple[ModelData, dict[int, int]]:
-        if u not in submodels:
-            sm = model.subgraph(influence_region(model, [u]))
-            submodels[u] = sm
-            locals_[u] = {int(g): i for i, g in enumerate(sm.orig_users)}
-        return submodels[u], locals_[u]
+    def evaluator(u: int) -> MarketEvaluator:
+        key = u if scope == "local" else None
+        if key not in evaluators:
+            sm = model if key is None else model.subgraph(influence_region(model, [u]))
+            evaluators[key] = MarketEvaluator(sm, 1, p.mc_plan, frozen=frozen)
+        return evaluators[key]
 
     def marginal(u: int, x: int) -> float:
-        if scope == "full":
-            return _f(model, selected + [(u, x)], p.mc_plan, frozen=frozen) - f_sel
-        sm, loc = region(u)
-        base = [
-            (loc[su], sx, 1) for su, sx in selected if su in loc
-        ]
-        cand = base + [(loc[u], x, 1)]
-        s1 = simulate(sm, cand, 1, p.mc_plan, frozen=frozen).sigma
-        s0 = simulate(sm, base, 1, p.mc_plan, frozen=frozen).sigma if base else 0.0
+        base = [(su, sx, 1) for su, sx in selected]
+        s1, s0 = evaluator(u).sigmas([base + [(u, x, 1)], base])
         return s1 - s0
 
     # First CELF pass: with nothing selected, a candidate's marginal is
-    # its own f, scored one engine call per (sub)model.
+    # its own f, scored in one request per evaluator.
+    pending: dict[MarketEvaluator, list[tuple[int, int]]] = {}
+    for u, x in pool:
+        pending.setdefault(evaluator(u), []).append((u, x))
     first: dict[tuple[int, int], float] = {}
-    if scope == "full":
-        res = simulate_groups(
-            model, [[(u, x, 1)] for u, x in pool], 1, p.mc_plan, frozen=frozen
-        )
-        first = {pair: r.sigma for pair, r in zip(pool, res)}
-    else:
-        items: dict[int, list[int]] = {}
-        for u, x in pool:
-            items.setdefault(u, []).append(x)
-        for u, xs in items.items():
-            sm, loc = region(u)
-            res = simulate_groups(
-                sm, [[(loc[u], x, 1)] for x in xs], 1, p.mc_plan, frozen=frozen
-            )
-            first.update({(u, x): r.sigma for x, r in zip(xs, res)})
+    for ev, pairs in pending.items():
+        first.update(zip(pairs, ev.sigmas([[(u, x, 1)] for u, x in pairs])))
 
     # Heap of (-mcp, tie, u, x, evaluated_at_size); lazily re-evaluated.
     heap: list[tuple[float, tuple[int, int], int, int, int]] = []
@@ -138,7 +110,7 @@ def select_nominees(
         heapq.heappush(heap, (-first[u, x] / model.cost[u, x], (u, x), u, x, 0))
 
     while heap:
-        neg_mcp, _, u, x, at = heapq.heappop(heap)
+        _, _, u, x, at = heapq.heappop(heap)
         cost = float(model.cost[u, x])
         if spent + cost > budget:
             continue  # too expensive now; a cheaper one may still fit
@@ -147,8 +119,6 @@ def select_nominees(
             heapq.heappush(heap, (-mcp, (u, x), u, x, len(selected)))
             continue
         # Fresh evaluation at the current set size: take it.
-        if scope == "full":
-            f_sel = f_sel + (-neg_mcp) * cost
         selected.append((u, x))
         spent += cost
     return selected

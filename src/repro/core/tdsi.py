@@ -16,29 +16,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.local import likelihood_pi, simulate
+from repro.diffusion.local import likelihood_pi, simulate_groups
 from repro.dynamics.state import ModelData
 from repro.kg.relevance import mean_weights, personal_relevance
 
 
 class MarketEvaluator:
-    """Simulated state of one market submodel, once per seed group.
+    """σ (and π, r̄) of seed groups on one (sub)model, each group simulated once.
 
-    ``submodel`` is ``model.subgraph(market.users)``; seeds are given in
-    *global* user ids and silently dropped if their user lies outside
-    the market (they cannot contribute adoptions inside it when the
-    diffusion is restricted to the market, by construction). Each
-    distinct localized seed group is simulated once; TDSI reads its
-    σ^τ / π^τ and DRE its average perception from the same run.
+    The seed-group evaluator of TMI, BundleGRD, CR-Greedy and TDSI/DRE.
+    Seeds are given in *global* user ids and silently dropped if their
+    user lies outside the submodel (they cannot contribute adoptions
+    inside it when the diffusion is restricted to it, by construction);
+    a group is keyed by its localized, sorted seeds. A request simulates
+    its missing groups in one :func:`simulate_groups` call; a σ-only
+    request (:meth:`sigmas`) computes no π. ``frozen`` selects the
+    dynamics-blind diffusion.
     """
 
-    def __init__(self, submodel: ModelData, T: int, n_samples: int) -> None:
+    def __init__(
+        self, submodel: ModelData, T: int, n_samples: int, *, frozen: bool = False
+    ) -> None:
         self.submodel = submodel
         self.T = T
         self.n_samples = n_samples
+        self.frozen = frozen
         self._local = {int(g): i for i, g in enumerate(submodel.orig_users)}
-        # key -> (σ, π, mean wc, mean ws) of the simulated market
-        self._cache: dict[tuple, tuple[float, float, np.ndarray, np.ndarray]] = {}
+        self._sigma: dict[tuple, float] = {}
+        # key -> (π, mean wc, mean ws) after the group's campaign
+        self._after: dict[tuple, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def _localize(self, seeds) -> tuple:
         out = []
@@ -48,40 +54,60 @@ class MarketEvaluator:
                 out.append((lu, int(x), int(t)))
         return tuple(sorted(out))
 
-    def _run(self, seeds) -> tuple[float, float, np.ndarray, np.ndarray]:
-        key = self._localize(seeds)
-        if key not in self._cache:
-            res = simulate(self.submodel, list(key), self.T, self.n_samples)
-            self._cache[key] = (
-                res.sigma,
-                likelihood_pi(self.submodel, res.state),
-                mean_weights(res.state.wc),
-                mean_weights(res.state.ws),
+    def _request(self, groups, with_pi: bool) -> list[tuple]:
+        """The groups' keys; the missing groups are simulated in one engine call."""
+        keys = [self._localize(g) for g in groups]
+        cache = self._after if with_pi else self._sigma
+        missing = list(dict.fromkeys(k for k in keys if k not in cache))
+        if missing:
+            runs = simulate_groups(
+                self.submodel, missing, self.T, self.n_samples, frozen=self.frozen
             )
-        return self._cache[key]
+            for key, res in zip(missing, runs):
+                self._sigma[key] = res.sigma
+                if with_pi:
+                    self._after[key] = (
+                        likelihood_pi(self.submodel, res.state),
+                        mean_weights(res.state.wc),
+                        mean_weights(res.state.ws),
+                    )
+        return keys
+
+    def sigmas(self, groups) -> list[float]:
+        """σ of each seed group; computes no π."""
+        return [self._sigma[k] for k in self._request(groups, False)]
+
+    def sigma_pis(self, groups) -> list[tuple[float, float]]:
+        """``(σ^τ, π^τ)`` of each seed group, each read through :meth:`sigma_pi`."""
+        self._request(groups, True)
+        return [self.sigma_pi(g) for g in groups]
 
     def sigma_pi(self, seeds) -> tuple[float, float]:
         """(σ^τ, π^τ) of a seed group."""
-        sigma, pi, _, _ = self._run(seeds)
-        return sigma, pi
+        (key,) = self._request([seeds], True)
+        return self._sigma[key], self._after[key][0]
 
     def average_relevance(self, seeds) -> tuple[np.ndarray, np.ndarray]:
         """Market-average ``(r̄^C, r̄^S)`` after the seed group's campaign."""
-        _, _, wc_bar, ws_bar = self._run(seeds)
+        (key,) = self._request([seeds], True)
+        _, wc_bar, ws_bar = self._after[key]
         sm = self.submodel
         return personal_relevance(wc_bar, sm.s_c), personal_relevance(ws_bar, sm.s_s)
 
 
 def substantial_influence(
-    ev: MarketEvaluator, seed_group, candidate: tuple[int, int, int], T: int
-) -> float:
-    """``SI^τ(S^G, (u, x_p, t), T)`` of Eq. (2)."""
-    u, x, t = candidate
-    sigma0, pi0 = ev.sigma_pi(seed_group)
-    sigma1, pi1 = ev.sigma_pi(list(seed_group) + [candidate])
-    ma = sigma1 - sigma0
-    ml = pi1 - pi0
-    return ma + (T - t + 1) / T * ml
+    ev: MarketEvaluator, seed_group, candidates, T: int
+) -> list[float]:
+    """``SI^τ(S^G, (u, x_p, t), T)`` of Eq. (2) for each candidate ``(u, x_p, t)``.
+
+    The seed group and every candidate's extension are one request.
+    """
+    base = list(seed_group)
+    (sigma0, pi0), *ext = ev.sigma_pis([base] + [base + [c] for c in candidates])
+    return [
+        (sigma1 - sigma0) + (T - t + 1) / T * (pi1 - pi0)
+        for (_, _, t), (sigma1, pi1) in zip(candidates, ext)
+    ]
 
 
 def timing_window(

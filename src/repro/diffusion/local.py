@@ -408,26 +408,41 @@ def likelihood_pi(model: ModelData, state: WorldState) -> float:
 
     ``AIS(v, y) = 1 − Π_{v'∈N_in(v), y∈A(v')} (1 − P_act(v', v))`` (the
     IC form of footnote 22), aggregated over every user's not-yet-adopted
-    items, weighted by preference, and averaged over samples.
+    items, weighted by preference, and averaged over samples. All
+    samples are one batch of rows ``s·U + u``; each sample's sum is
+    formed on its own and the sums are added in sample order.
     """
     p = model.params
-    total = 0.0
-    for s in range(state.n_samples):
-        adopted = state.adopted[s]
-        ad_count = adopted.sum(axis=1).astype(np.int64)
-        inter = (adopted[model.src] & adopted[model.dst]).sum(axis=1)
-        union = ad_count[model.src] + ad_count[model.dst] - inter
-        act = kernels.influence_strength(
-            model.base_inf, inter, union, p.gamma, p.act_floor, p.act_cap
-        )
-        # Accumulate -log(1 - act) from in-neighbors holding each item.
-        neglog = np.zeros((model.n_users, model.n_items))
-        contrib = adopted[model.src] * (-np.log1p(-np.minimum(act, 1 - 1e-12)))[:, None]
-        np.add.at(neglog, model.dst, contrib)
-        ais = 1.0 - np.exp(-neglog)
-        pref_rows = kernels.preference_batch(
-            model.base_pref, adopted, state.wc[s], state.ws[s], model.s_c, model.s_s,
-            p.beta_c, p.beta_s, p.pref_floor,
-        )
-        total += float((ais * pref_rows * ~adopted).sum())
-    return total / state.n_samples
+    M, U, I = state.adopted.shape
+    adopted = state.adopted.reshape(M * U, I)
+    ad_count = adopted.sum(axis=1).astype(np.int64)
+    offset = (np.arange(M, dtype=np.int64) * U)[:, None]
+    src = (offset + model.src).ravel()
+    dst = (offset + model.dst).ravel()
+    inter = (adopted[src] & adopted[dst]).sum(axis=1)
+    union = ad_count[src] + ad_count[dst] - inter
+    act = kernels.influence_strength(
+        np.tile(model.base_inf, M), inter, union, p.gamma, p.act_floor, p.act_cap
+    )
+    # Sum -log(1 - act) over the in-neighbors holding each item, in edge
+    # order: np.bincount adds its weights in input order, as np.add.at
+    # does, and the pairs left out would add exact zeros.
+    e, y = np.nonzero(adopted[src])
+    neglog = np.bincount(
+        dst[e] * I + y, weights=-np.log1p(-np.minimum(act, 1 - 1e-12))[e],
+        minlength=M * U * I,
+    ).reshape(M * U, I)
+    # A row with no such neighbor has AIS = 0: its terms are exact zeros,
+    # and its preferences are not needed.
+    rows = np.flatnonzero(neglog.any(axis=1))
+    pref_rows = kernels.preference_batch(
+        model.base_pref[rows % U], adopted[rows], state.wc.reshape(M * U, -1)[rows],
+        state.ws.reshape(M * U, -1)[rows], model.s_c, model.s_s,
+        p.beta_c, p.beta_s, p.pref_floor,
+    )
+    terms = np.zeros((M * U, I))
+    terms[rows] = (1.0 - np.exp(-neglog[rows])) * pref_rows * ~adopted[rows]
+    total = 0.0  # not sum(): Python >= 3.12 compensates float sums
+    for per_sample in terms.reshape(M, -1).sum(axis=1):
+        total += float(per_sample)
+    return total / M

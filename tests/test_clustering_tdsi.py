@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bundlegrd import bundlegrd
 from repro.core.clustering import (
     antagonistic_extent,
     group_and_order,
@@ -14,9 +15,10 @@ from repro.core.clustering import (
     initial_average_relevance,
     TargetMarket,
 )
+from repro.core.nominees import select_nominees
 from repro.core.tdsi import MarketEvaluator, substantial_influence, timing_window
 from repro.data.datasets import make_dataset
-from repro.diffusion.local import simulate
+from repro.diffusion.local import likelihood_pi, simulate, simulate_groups
 from repro.graph.local import mioa_reach
 from repro.kg.relevance import average_relevance
 from repro.params import DEFAULT
@@ -163,14 +165,39 @@ class TestTimingWindow:
         assert w == [3]
 
 
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The groups of each evaluator engine call, and the ``likelihood_pi`` calls.
+
+    ``calls`` holds ``(model, groups)`` per ``simulate_groups`` call; the
+    model object is kept, so its ``id`` names it for the whole test.
+    """
+    import repro.core.tdsi as tdsi
+
+    log = {"calls": [], "pi": 0}
+
+    def counting_groups(model, groups, *args, **kw):
+        groups = [list(g) for g in groups]
+        log["calls"].append((model, groups))
+        return simulate_groups(model, groups, *args, **kw)
+
+    def counting_pi(*args):
+        log["pi"] += 1
+        return likelihood_pi(*args)
+
+    monkeypatch.setattr(tdsi, "simulate_groups", counting_groups)
+    monkeypatch.setattr(tdsi, "likelihood_pi", counting_pi)
+    return log
+
+
 class TestMarketEvaluator:
-    def test_caching(self, small):
+    def test_caching(self, small, engine_calls):
         sub = small.subgraph(np.arange(30))
         ev = MarketEvaluator(sub, T=3, n_samples=4)
         a = ev.sigma_pi([(0, 0, 1)])
         b = ev.sigma_pi([(0, 0, 1)])
         assert a == b
-        assert len(ev._cache) == 1
+        assert len(engine_calls["calls"]) == 1
 
     def test_out_of_market_seeds_dropped(self, small):
         sub = small.subgraph(np.arange(30))
@@ -179,16 +206,7 @@ class TestMarketEvaluator:
         b = ev.sigma_pi([(0, 0, 1)])
         assert a == b
 
-    def test_one_simulation_per_seed_group(self, small, monkeypatch):
-        import repro.core.tdsi as tdsi
-
-        calls = []
-
-        def counting(*args, **kw):
-            calls.append(args[1])
-            return simulate(*args, **kw)
-
-        monkeypatch.setattr(tdsi, "simulate", counting)
+    def test_one_simulation_per_seed_group(self, small, engine_calls):
         sub = small.subgraph(np.arange(30))
         ev = MarketEvaluator(sub, T=3, n_samples=4)
         group = [(0, 0, 1), (5, 1, 2), (99, 0, 1)]  # 99 is outside the market
@@ -196,17 +214,70 @@ class TestMarketEvaluator:
         ev.sigma_pi(group)
         ev.sigma_pi(group[::-1])
         ev.average_relevance(group[:2])
-        assert calls == [[(0, 0, 1), (5, 1, 2)]]
+        assert [g for _, g in engine_calls["calls"]] == [[[(0, 0, 1), (5, 1, 2)]]]
         fresh = simulate(sub, [(0, 0, 1), (5, 1, 2)], 3, 4)
         assert np.array_equal(rc, average_relevance(fresh.state.wc, sub.s_c))
         assert np.array_equal(rs, average_relevance(fresh.state.ws, sub.s_s))
+        assert ev.sigma_pi(group) == (fresh.sigma, likelihood_pi(sub, fresh.state))
+
+    def test_one_engine_call_per_request(self, small, engine_calls):
+        ev = MarketEvaluator(small, T=2, n_samples=3)
+        groups = [[(0, 0, 1)], [(5, 1, 2), (0, 0, 1)], [], [(9, 2, 1)]]
+        first = ev.sigmas(groups)
+        assert len(engine_calls["calls"]) == 1
+        assert len(engine_calls["calls"][0][1]) == len(groups)
+        again = ev.sigmas([g[::-1] for g in groups[::-1]] + groups)
+        assert again == first[::-1] + first
+        assert len(engine_calls["calls"]) == 1  # repeated and reordered: no call
+        want = [simulate(small, g, 2, 3).sigma for g in groups]
+        assert first == want
+        ev.sigmas(groups[:2] + [[(7, 0, 2)], [(8, 0, 1)], [(7, 0, 2)]])
+        assert [len(g) for _, g in engine_calls["calls"]] == [4, 2]
+
+    def test_sigma_only_request_computes_no_pi(self, small, engine_calls):
+        ev = MarketEvaluator(small.subgraph(np.arange(40)), T=3, n_samples=4)
+        ev.sigmas([[(0, 0, 1)], [(0, 0, 1), (3, 1, 2)], []])
+        assert engine_calls["pi"] == 0
+        si = substantial_influence(ev, [(0, 0, 1)], [(3, 1, 1), (3, 1, 2)], T=3)
+        assert len(si) == 2
+        assert engine_calls["pi"] == 3  # the seed group and its two extensions
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_sigma_equals_simulate(self, small, frozen):
+        group = [(61, 0, 1), (61, 2, 1), (39, 5, 1)]
+        full = MarketEvaluator(small, T=1, n_samples=6, frozen=frozen)
+        assert full.sigmas([group]) == [simulate(small, group, 1, 6, frozen=frozen).sigma]
+        sub = small.subgraph(np.arange(20, 70))
+        local = MarketEvaluator(sub, T=1, n_samples=6, frozen=frozen)
+        in_sub = [(u - 20, x, t) for u, x, t in group]
+        want = simulate(sub, in_sub, 1, 6, frozen=frozen).sigma
+        assert local.sigmas([group + [(99, 0, 1)]]) == [want]
 
     def test_si_increases_with_viable_candidate(self, small):
         sub = small.subgraph(np.arange(50))
         ev = MarketEvaluator(sub, T=3, n_samples=8)
-        si = substantial_influence(ev, [], (0, 0, 1), T=3)
+        (si,) = substantial_influence(ev, [], [(0, 0, 1)], T=3)
         assert np.isfinite(si)
         # Seeding someone adds at least their own adoption to sigma.
         s0, _ = ev.sigma_pi([])
         s1, _ = ev.sigma_pi([(0, 0, 1)])
         assert s1 > s0
+
+
+@pytest.mark.parametrize(
+    "planner",
+    [
+        lambda m: select_nominees(m, 12, max_pairs=40),
+        lambda m: select_nominees(m, 12, max_pairs=40, frozen=True, scope="full"),
+        lambda m: bundlegrd(m, 15, 3),
+    ],
+    ids=["nominees-local", "nominees-full", "bundlegrd"],
+)
+def test_planners_never_simulate_a_group_twice(small, engine_calls, planner):
+    """No (model, localized group) pair reaches the engine twice."""
+    assert planner(small)
+    seen = [
+        (id(model), tuple(sorted(g))) for model, groups in engine_calls["calls"] for g in groups
+    ]
+    assert len(engine_calls["calls"]) > 1
+    assert len(seen) == len(set(seen))

@@ -110,7 +110,7 @@ class TestBaselines:
 
     def test_cr_greedy_assigns_all(self, small):
         pairs = [(0, 0), (1, 1), (2, 0)]
-        seeds = cr_greedy_timings(small, pairs, T=5)
+        seeds = cr_greedy_timings(small, [[pr] for pr in pairs], T=5)
         assert sorted((u, x) for u, x, _ in seeds) == sorted(pairs)
         assert all(1 <= t <= 5 for _, _, t in seeds)
 

@@ -7,10 +7,11 @@ amazon_lite flagship seed group (Dysim b=60, T=10) are copied from the
 benchmark's golden values, which are those behind the committed
 ``table_results.md``. OPT at b=4, T=5, the first cell of table T1 (σ
 printed there as 3.98), is the harness ``Runner``'s cell before the
-engine learned to run many seed groups per call. σ is the local
-engine's at trial salt 0 and is compared with ``==``: a change that
-moves a float reduction order or a CELF tie-break fails here, not only
-in a paper table.
+engine learned to run many seed groups per call; HAG and BundleGRD at
+b=12, T=5 (T1's last row) are the ``Runner``'s cells before the planners
+shared one seed-group evaluator. σ is the local engine's at trial salt
+0 and is compared with ``==``: a change that moves a float reduction
+order or a CELF tie-break fails here, not only in a paper table.
 """
 import pytest
 
@@ -35,6 +36,16 @@ T2_ROW = {
         [(61, 0, 1), (61, 2, 1), (39, 5, 1), (74, 0, 3), (28, 0, 1)], 6.5912778481394,
     ),
     "ps": ([(74, 0, 2), (80, 0, 1), (9, 0, 1), (16, 0, 2)], 5.60606023315159),
+}
+# method -> (seed list, σ at M=16, σ as T1 prints it), small100 b=12 T=5:
+# T1's last row, the deepest CELF runs on small100.
+T1_B12 = {
+    "bundlegrd": ([(61, 0, 1), (61, 2, 1), (61, 5, 1), (61, 4, 1)], 3.9406718791185225, 3.94),
+    "hag": (
+        [(61, 0, 2), (61, 2, 2), (39, 5, 2), (74, 0, 5), (12, 0, 5), (16, 0, 4), (68, 5, 1)],
+        8.259595176744275,
+        8.26,
+    ),
 }
 OPT_B4 = ([(80, 0, 2), (46, 0, 3)], 3.7692693698992015)
 OPT_B4_T5 = ([(80, 0, 4), (46, 0, 3)], 3.9818905772610544)
@@ -69,6 +80,16 @@ def test_t2_row(small, method):
     want_seeds, want_sigma = T2_ROW[method]
     assert seeds == want_seeds
     assert simulate(small, seeds, 3, M_EVAL).sigma == want_sigma
+
+
+@pytest.mark.parametrize("method", sorted(T1_B12))
+def test_t1_b12(small, method):
+    seeds = [tuple(int(v) for v in s) for s in _plan(method, small, 12, 5)]
+    want_seeds, want_sigma, printed = T1_B12[method]
+    assert seeds == want_seeds
+    sigma = simulate(small, seeds, 5, M_EVAL).sigma
+    assert sigma == want_sigma
+    assert round(sigma, 2) == printed  # table_results.md, T1, b=12
 
 
 def test_opt_b4(small):

@@ -6,6 +6,7 @@ import repro.diffusion.local as local_engine
 from repro.data.datasets import make_dataset
 from repro.diffusion.local import likelihood_pi, simulate
 from repro.diffusion.sigma import sigma_from_adopt_t
+from repro.dynamics import kernels
 from repro.dynamics.state import ModelData
 from repro.params import DEFAULT
 
@@ -195,6 +196,48 @@ class TestLikelihoodPi:
         from repro.dynamics.state import init_state
 
         assert likelihood_pi(small, init_state(small, 2)) == 0.0
+
+    @pytest.mark.parametrize("M", [1, 4, 6])
+    @pytest.mark.parametrize("case", ["small100", "yelp_lite", "yelp_lite/250"])
+    def test_batched_equals_per_sample(self, request, case, M):
+        """One batch over all samples gives the per-sample loop's bits."""
+        model = request.getfixturevalue("small" if case == "small100" else "yelp")
+        if case.endswith("/250"):
+            model = model.subgraph(np.arange(250))
+        top = np.argsort(-model.out_deg)[:4].tolist()
+        seeds = [(top[0], 0, 1), (top[1], 1, 1), (top[2], 0, 2), (top[3], 2, 3)]
+        state = simulate(model, seeds, 3, M).state  # dynamic weights after a campaign
+        assert state.adopted.any(axis=(1, 2)).all()
+        assert likelihood_pi(model, state) == _pi_per_sample(model, state)
+
+
+def _pi_per_sample(model, state):
+    """``likelihood_pi`` one sample at a time: the reference of the batch form."""
+    p = model.params
+    total = 0.0
+    for s in range(state.n_samples):
+        adopted = state.adopted[s]
+        ad_count = adopted.sum(axis=1).astype(np.int64)
+        inter = (adopted[model.src] & adopted[model.dst]).sum(axis=1)
+        union = ad_count[model.src] + ad_count[model.dst] - inter
+        act = kernels.influence_strength(
+            model.base_inf, inter, union, p.gamma, p.act_floor, p.act_cap
+        )
+        neglog = np.zeros((model.n_users, model.n_items))
+        contrib = adopted[model.src] * (-np.log1p(-np.minimum(act, 1 - 1e-12)))[:, None]
+        np.add.at(neglog, model.dst, contrib)
+        ais = 1.0 - np.exp(-neglog)
+        pref_rows = kernels.preference_batch(
+            model.base_pref, adopted, state.wc[s], state.ws[s], model.s_c, model.s_s,
+            p.beta_c, p.beta_s, p.pref_floor,
+        )
+        total += float((ais * pref_rows * ~adopted).sum())
+    return total / state.n_samples
+
+
+@pytest.fixture(scope="module")
+def yelp():
+    return make_dataset("yelp_lite").model
 
 
 @pytest.fixture(scope="module")

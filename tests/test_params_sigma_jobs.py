@@ -1,6 +1,7 @@
 """Tests for Params, the sigma helpers, and the job wrappers."""
 import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,9 +51,13 @@ class TestSigmaHelpers:
 
 
 class TestJobWrappers:
-    @pytest.mark.parametrize("t", ["t1", "t3", "t7", "t9"])
+    @pytest.mark.parametrize("t", [f"t{i}" for i in range(1, 10)])
     def test_table_job_runs_with_stubbed_harness(self, t, monkeypatch, capsys, tmp_path):
-        """``run_all_tables.py --table tN`` runs only that table and writes it."""
+        """``run_all_tables.py --table tN`` runs only that table and writes it.
+
+        Its heading is the committed ``table_results.md``'s, so a full
+        run differs from the committed file in results only.
+        """
         import repro.experiments.harness as H
 
         called = []
@@ -79,6 +84,9 @@ class TestJobWrappers:
         assert [n.split("_")[1] for n in called] == [t]
         assert "| b | dysim |" in capsys.readouterr().out
         assert "| b | dysim |" in out.read_text()
+        headings = [ln for ln in out.read_text().splitlines() if ln.startswith("## ")]
+        assert len(headings) == 1
+        assert headings[0] in Path("table_results.md").read_text().splitlines()
 
     @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-9, 1)])
     def test_spark_certification_exits_1_on_divergence(
