@@ -6,10 +6,11 @@ Usage:
 
 ``--quick`` shrinks every sweep to one or two cheap cells (CI smoke).
 ``--table T3`` runs one table only (T1–T9). The full run reproduces
-EXPERIMENTS.md. A SparkSession is only needed for the
-certification re-evaluation of one cell on the Spark engine; all
-planning runs locally (see DESIGN.md §3 layering). The job exits 1 when
-the Spark σ of that cell differs from the local engine's. Needs no
+EXPERIMENTS.md. A SparkSession is only needed to certify one cell on
+the Spark engine; all planning runs locally (see DESIGN.md §3
+layering). The job exits 1 when that cell's Spark adoption log, σ or
+``σ_by_t`` differs from the local engine's
+(:meth:`repro.experiments.harness.Runner.spark_check`). Needs no
 ``PYTHONPATH``: the script puts ``src/`` on its own path.
 """
 from __future__ import annotations
@@ -81,36 +82,34 @@ def main(argv=None) -> int:
     for title, rows in sections:
         lines += [f"## {title}", "", H.to_markdown(rows), ""]
 
-    diverged = False
+    mismatches: list[str] = []
     if not args.skip_spark_check:
         log("certifying one cell on the Spark engine ...")
         from repro.spark_session import job_session
 
-        spark = job_session("repro-tables")
         cell = r.run("small100", "dysim", 8, 5 if not args.quick else 2)
-        sp_sigma = r.spark_check(spark, cell, n_samples=4)
-        from repro.diffusion.local import simulate
-
-        lo_sigma = simulate(
-            r.dataset("small100").model, cell.seeds, cell.T, 4
-        ).sigma
-        diverged = sp_sigma != lo_sigma
+        spark = job_session("repro-tables")
+        try:
+            check = r.spark_check(spark, cell, n_samples=4)
+        finally:
+            spark.stop()
+        mismatches = check.mismatches
         lines += [
             "## Spark-engine certification",
             "",
-            f"small100 Dysim cell (b=8): local engine sigma={lo_sigma:.6f}, "
-            f"Spark engine sigma={sp_sigma:.6f} (sample shards of the same "
-            f"engine; must match exactly): {'DIVERGED' if diverged else 'equal'}.",
+            f"small100 Dysim cell (b=8, T={cell.T}): local engine "
+            f"sigma={check.local_sigma:.6f}, Spark engine sigma={check.spark_sigma:.6f} "
+            "(sample shards of the same engine; adoption log, sigma and sigma_by_t "
+            f"must match exactly): {'DIVERGED' if mismatches else 'equal'}.",
             "",
         ]
-        spark.stop()
 
     with open(args.out, "w") as f:
         f.write("\n".join(lines))
     log(f"wrote {args.out}")
     print("\n".join(lines))
-    if diverged:
-        print("engines diverged", file=sys.stderr)
+    if mismatches:
+        print(f"engines diverged: {', '.join(mismatches)} differ", file=sys.stderr)
         return 1
     return 0
 

@@ -21,6 +21,7 @@ import heapq
 import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
+from repro.core.nominees import candidate_users
 from repro.core.tdsi import MarketEvaluator
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
@@ -33,7 +34,6 @@ def bundlegrd(model: ModelData, budget: float, T: int) -> list[tuple[int, int, i
     check_plan_inputs(budget, T)
     p = model.params
     bundle = [int(x) for x in np.argsort(-model.importance)[:BUNDLE_SIZE]]
-    cand_users = [int(u) for u in np.argsort(-model.out_deg)[: p.cand_users]]
     ev = MarketEvaluator(model, 1, p.mc_plan, frozen=True)
 
     def user_cost(u: int) -> float:
@@ -42,7 +42,7 @@ def bundlegrd(model: ModelData, budget: float, T: int) -> list[tuple[int, int, i
     def seeds_of(users: list[int]) -> list[tuple[int, int, int]]:
         return [(u, x, 1) for u in users for x in bundle]
 
-    affordable = [u for u in cand_users if user_cost(u) <= budget]
+    affordable = [u for u in candidate_users(model) if user_cost(u) <= budget]
     heap: list[tuple[float, int, int]] = []
     for u, gain in zip(affordable, ev.sigmas([seeds_of([u]) for u in affordable])):
         heapq.heappush(heap, (-gain / user_cost(u), u, 0))

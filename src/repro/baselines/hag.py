@@ -14,13 +14,13 @@ selection: target markets, DRE item ordering, and SI timings.
 from __future__ import annotations
 
 from repro.baselines.cr_greedy import cr_greedy_timings
-from repro.core.nominees import select_nominees
+from repro.core.nominees import MAX_PAIRS, select_nominees
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 
 
 def hag(
-    model: ModelData, budget: float, T: int, *, max_pairs: int = 150
+    model: ModelData, budget: float, T: int, *, max_pairs: int = MAX_PAIRS
 ) -> list[tuple[int, int, int]]:
     """Select pairs by cost-aware frozen greedy; schedule with CR-Greedy."""
     check_plan_inputs(budget, T)

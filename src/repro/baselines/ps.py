@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
+from repro.core.nominees import candidate_users
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 from repro.graph.local import mioa_reach
@@ -29,7 +30,7 @@ from repro.graph.local import mioa_reach
 def ps(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
     """Path-based greedy pair selection, then CR-Greedy scheduling."""
     check_plan_inputs(budget, T)
-    cand_users = [int(u) for u in np.argsort(-model.out_deg)[: model.params.cand_users]]
+    cand_users = candidate_users(model)
     mean_pref = model.pref0.mean(axis=0)  # [I]
 
     # Maximum-influence-path probabilities from every candidate user

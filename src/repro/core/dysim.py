@@ -25,7 +25,7 @@ from repro.core.clustering import (
     initial_average_relevance,
 )
 from repro.core.dre import dr_all_items
-from repro.core.nominees import select_nominees
+from repro.core.nominees import MAX_PAIRS, select_nominees
 from repro.core.tdsi import MarketEvaluator, substantial_influence, timing_window
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
@@ -46,7 +46,7 @@ def dysim(
     budget: float,
     T: int,
     *,
-    max_pairs: int = 150,
+    max_pairs: int = MAX_PAIRS,
 ) -> DysimResult:
     """Run Dysim and return the seed group ``{(u, x, t)}``."""
     check_plan_inputs(budget, T)

@@ -10,9 +10,9 @@ paper exploits submodularity "similar to CELF++").
 
 The candidate universe ``U = V × I`` is pruned first: top users by
 out-degree crossed with all items, ranked by a cheap one-hop proxy and
-capped at ``max_pairs`` (the paper's server enumerates more; the
-pruning knobs are in :class:`repro.params.Params` and the cap is a
-documented tractability deviation — DESIGN.md §3).
+capped at ``max_pairs`` (default :data:`MAX_PAIRS`; the paper's server
+enumerates more; the pruning knobs are in :class:`repro.params.Params`
+and the cap is a documented tractability deviation — DESIGN.md §3).
 """
 from __future__ import annotations
 
@@ -25,7 +25,18 @@ from repro.core.tdsi import MarketEvaluator
 from repro.dynamics.state import ModelData
 
 
-def candidate_pool(model: ModelData, *, max_pairs: int = 150) -> list[tuple[int, int]]:
+MAX_PAIRS = 100  # candidate-pool size of every table cell
+
+
+def candidate_users(model: ModelData) -> list[int]:
+    """The ``params.cand_users`` users of highest out-degree, highest first.
+
+    The user shortlist of TMI's candidate pool, BundleGRD and PS.
+    """
+    return [int(u) for u in np.argsort(-model.out_deg)[: model.params.cand_users]]
+
+
+def candidate_pool(model: ModelData, *, max_pairs: int = MAX_PAIRS) -> list[tuple[int, int]]:
     """Top candidate (user, item) pairs by a one-hop MCP proxy.
 
     proxy(u, x) = [w_x + Σ_{v ∈ out(u)} act0(u,v) · pref0(v,x) · w_x] / c_{u,x}
@@ -33,17 +44,15 @@ def candidate_pool(model: ModelData, *, max_pairs: int = 150) -> list[tuple[int,
     unit cost. Only used to *shortlist*; selection itself uses the
     simulated ``f``.
     """
-    p = model.params
-    cand_users = np.argsort(-model.out_deg)[: p.cand_users]
     pairs: list[tuple[float, int, int]] = []
-    for u in cand_users:
-        sl = model.out_edges(int(u))
+    for u in candidate_users(model):
+        sl = model.out_edges(u)
         nbrs = model.dst[sl]
         a = model.act0[sl]
         one_hop = (a[:, None] * model.pref0[nbrs]).sum(axis=0)  # [I]
         score = (model.importance + one_hop * model.importance) / model.cost[u]
         for x in range(model.n_items):
-            pairs.append((float(score[x]), int(u), int(x)))
+            pairs.append((float(score[x]), u, x))
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     return [(u, x) for _, u, x in pairs[:max_pairs]]
 
@@ -52,7 +61,7 @@ def select_nominees(
     model: ModelData,
     budget: float,
     *,
-    max_pairs: int = 150,
+    max_pairs: int = MAX_PAIRS,
     frozen: bool = False,
     scope: str = "local",
 ) -> list[tuple[int, int]]:

@@ -30,8 +30,8 @@ class MarketEvaluator:
     inside it when the diffusion is restricted to it, by construction);
     a group is keyed by its localized, sorted seeds. A request simulates
     its missing groups in one :func:`simulate_groups` call; a σ-only
-    request (:meth:`sigmas`) computes no π. ``frozen`` selects the
-    dynamics-blind diffusion.
+    request (:meth:`sigmas`) computes no π and simulates no empty group.
+    ``frozen`` selects the dynamics-blind diffusion.
     """
 
     def __init__(
@@ -42,7 +42,8 @@ class MarketEvaluator:
         self.n_samples = n_samples
         self.frozen = frozen
         self._local = {int(g): i for i, g in enumerate(submodel.orig_users)}
-        self._sigma: dict[tuple, float] = {}
+        # σ(∅) is exactly 0.0 on the engine: never simulated for σ alone.
+        self._sigma: dict[tuple, float] = {(): 0.0}
         # key -> (π, mean wc, mean ws) after the group's campaign
         self._after: dict[tuple, tuple[float, np.ndarray, np.ndarray]] = {}
 

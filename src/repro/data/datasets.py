@@ -19,8 +19,10 @@ from repro.data.kg import base_preferences, item_importance, kg_pdf, seed_costs
 from repro.data.social import base_influence, social_edges_pdf
 from repro.dynamics.state import ModelData
 from repro.kg.metagraphs import (
+    COMP,
+    DEFAULT_METAGRAPHS,
+    SUBS,
     MetaGraph,
-    metagraph_library,
     relevance_table_pandas,
     relevance_tensor,
 )
@@ -54,11 +56,10 @@ PRESETS: dict[str, Spec] = {
 
 @dataclass
 class Dataset:
-    """One IMDPP instance plus the raw frames the Spark jobs consume."""
+    """One IMDPP instance plus its KG and meta-graph relevance table."""
 
     name: str
     model: ModelData
-    social_edges: pd.DataFrame
     kg_edges: pd.DataFrame
     metas: list[MetaGraph]
     relevance: pd.DataFrame  # (kind, meta, x, y, s) long table
@@ -72,32 +73,24 @@ class Dataset:
         return self.model.n_items
 
 
-def make_dataset(
-    name: str,
-    *,
-    seed: int = 7,
-    params: Params = DEFAULT,
-    n_comp: int = 3,
-    n_subs: int = 3,
-    spec: Spec | None = None,
-) -> Dataset:
-    """Build a preset (or a custom ``spec``) deterministically.
+def make_dataset(name: str, *, seed: int = 7, params: Params = DEFAULT) -> Dataset:
+    """Build a preset deterministically.
 
-    The meta-graph relevance tensors are computed with the pandas
-    mirror of the Spark counting path (the two are equality-tested);
-    Spark jobs recompute them distributedly from ``kg_edges``.
+    The meta-graph relevance tensors are counted over the whole
+    :data:`DEFAULT_METAGRAPHS` library with the pandas path (equality-
+    tested against the Spark one).
     """
-    if spec is None:
-        if name not in PRESETS:
-            raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-        spec = PRESETS[name]
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+    spec = PRESETS[name]
     edges = social_edges_pdf(spec.n_users, spec.avg_out_deg, seed=seed)
     importance = item_importance(
         spec.n_items, seed=seed, random_uniform=spec.random_importance
     )
     kg_edges = kg_pdf(spec.n_items, seed=seed, importance=importance)
-    metas = metagraph_library(n_comp, n_subs)
+    metas = DEFAULT_METAGRAPHS
     rel = relevance_table_pandas(kg_edges, metas)
+    n_comp, n_subs = (sum(m.kind == k for m in metas) for k in (COMP, SUBS))
     s_c, s_s = relevance_tensor(rel, spec.n_items, n_comp, n_subs)
 
     base_pref = base_preferences(spec.n_users, spec.n_items, seed=seed)
@@ -122,7 +115,6 @@ def make_dataset(
     return Dataset(
         name=name,
         model=model,
-        social_edges=edges,
         kg_edges=kg_edges,
         metas=metas,
         relevance=rel,

@@ -7,18 +7,23 @@ Runs are cached in the :class:`Runner`, so tables that share cells
 (T3/T5/T7 and T4/T6) pay for them once. All runs are deterministic in
 the dataset seed and the stateless trial RNG.
 
-σ is evaluated with the local engine by default; ``Runner.spark_check``
-re-evaluates any cell on the Spark engine (the same engine run on shards
-of the Monte-Carlo samples → identical adoptions and σ), which
-`jobs/run_all_tables.py` uses to certify one cell.
+σ is evaluated with the local engine; :meth:`Runner.spark_check`
+re-evaluates a cell on the Spark engine (the same engine run on shards
+of the Monte-Carlo samples) and compares the adoption log, σ and
+``σ_by_t`` with the local engine's, which `jobs/run_all_tables.py` uses
+to certify one cell.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.baselines import bundlegrd, hag, opt_bruteforce, ps
 from repro.core.dysim import dysim
+from repro.core.nominees import MAX_PAIRS
 from repro.data.datasets import Dataset, make_dataset
 from repro.diffusion.local import simulate
 from repro.params import DEFAULT, Params
@@ -30,8 +35,8 @@ METHODS = ("dysim", "bundlegrd", "hag", "ps")
 class CellResult:
     """One (dataset, method, b, T) run: planning time + evaluated σ.
 
-    ``n_comp``, ``n_subs`` and ``params`` are the dataset settings the
-    cell ran on, so :meth:`Runner.spark_check` can rebuild its model.
+    ``params`` is the parameter set the cell ran with, so
+    :meth:`Runner.spark_check` can rebuild its model.
     """
 
     dataset: str
@@ -42,9 +47,20 @@ class CellResult:
     seconds: float
     n_seeds: int
     seeds: list = field(repr=False, default_factory=list)
-    n_comp: int = 3
-    n_subs: int = 3
     params: Params = DEFAULT
+
+
+@dataclass
+class SparkCheck:
+    """A cell evaluated on both engines; ``mismatches`` names what differs.
+
+    Its entries are ``"log"``, ``"sigma"`` and ``"sigma_by_t"``; empty
+    when the engines agree exactly.
+    """
+
+    local_sigma: float
+    spark_sigma: float
+    mismatches: list[str]
 
 
 class Runner:
@@ -54,7 +70,7 @@ class Runner:
         self,
         *,
         mc_eval: int = 16,
-        max_pairs: int = 100,
+        max_pairs: int = MAX_PAIRS,
         params: Params = DEFAULT,
         seed: int = 7,
     ) -> None:
@@ -65,35 +81,21 @@ class Runner:
         self._datasets: dict[tuple, Dataset] = {}
         self._cells: dict[tuple, CellResult] = {}
 
-    def dataset(self, name: str, *, n_comp: int = 3, n_subs: int = 3,
-                params: Params | None = None) -> Dataset:
-        key = (name, n_comp, n_subs, params or self.params)
-        if key not in self._datasets:
-            self._datasets[key] = make_dataset(
-                name, seed=self.seed, params=params or self.params,
-                n_comp=n_comp, n_subs=n_subs,
-            )
-        return self._datasets[key]
+    def dataset(self, name: str, *, params: Params | None = None) -> Dataset:
+        params = params or self.params
+        if (name, params) not in self._datasets:
+            self._datasets[name, params] = make_dataset(name, seed=self.seed, params=params)
+        return self._datasets[name, params]
 
     def run(
-        self,
-        dataset: str,
-        method: str,
-        b: float,
-        T: int,
-        *,
-        n_comp: int = 3,
-        n_subs: int = 3,
-        params: Params | None = None,
-        tag: str = "",
+        self, dataset: str, method: str, b: float, T: int, *, params: Params | None = None
     ) -> CellResult:
         """Plan with ``method`` and evaluate σ; cached per cell."""
         params = params or self.params
-        key = (dataset, method, b, T, n_comp, n_subs, params, tag)
+        key = (dataset, method, b, T, params)
         if key in self._cells:
             return self._cells[key]
-        ds = self.dataset(dataset, n_comp=n_comp, n_subs=n_subs, params=params)
-        model = ds.model
+        model = self.dataset(dataset, params=params).model
         t0 = time.perf_counter()
         if method == "dysim":
             seeds = dysim(model, b, T, max_pairs=self.max_pairs).seeds
@@ -109,49 +111,66 @@ class Runner:
             raise KeyError(f"unknown method {method!r}")
         seconds = time.perf_counter() - t0
         sigma = simulate(model, seeds, T, self.mc_eval).sigma
-        cell = CellResult(
-            dataset, method, b, T, sigma, seconds, len(seeds), seeds, n_comp, n_subs, params
-        )
+        cell = CellResult(dataset, method, b, T, sigma, seconds, len(seeds), seeds, params)
         self._cells[key] = cell
         return cell
 
-    def spark_check(self, spark, cell: CellResult, *, n_samples: int | None = None) -> float:
-        """Re-evaluate a cell's σ on the Spark engine, on the cell's own dataset."""
+    def spark_check(
+        self, spark, cell: CellResult, *, n_samples: int | None = None
+    ) -> SparkCheck:
+        """Evaluate a cell on both engines, on its own dataset; compare with ``==``.
+
+        The adoption logs, σ and ``σ_by_t`` must be equal: the Spark
+        engine runs the local one on shards of the samples.
+        """
         from repro.diffusion.spark_engine import simulate_spark
 
-        ds = self.dataset(
-            cell.dataset, n_comp=cell.n_comp, n_subs=cell.n_subs, params=cell.params
-        )
-        res = simulate_spark(
-            spark, ds.model, cell.seeds, cell.T, n_samples or self.mc_eval
-        )
-        return res.sigma
+        model = self.dataset(cell.dataset, params=cell.params).model
+        M = n_samples or self.mc_eval
+        loc = simulate(model, cell.seeds, cell.T, M)
+        sp = simulate_spark(spark, model, cell.seeds, cell.T, M)
+        s, u, x = np.nonzero(loc.adopt_t)
+        local_log = np.stack([s, u, x, loc.adopt_t[s, u, x]], axis=1)  # sorted rows
+        cols = ["sample", "user", "item", "t"]
+        spark_log = sp.adoptions.sort_values(cols)[cols].to_numpy(np.int64)
+        mismatches = [
+            name
+            for name, same in (
+                ("log", np.array_equal(spark_log, local_log)),
+                ("sigma", sp.sigma == loc.sigma),
+                ("sigma_by_t", np.array_equal(sp.sigma_by_t, loc.sigma_by_t)),
+            )
+            if not same
+        ]
+        return SparkCheck(loc.sigma, sp.sigma, mismatches)
 
 
 # ----------------------------------------------------------------------
 # Table runners — defaults match the jobs; tests shrink them.
 # ----------------------------------------------------------------------
 
+def _sweep(r: Runner, cells, methods, field: str, ndigits: int) -> list[dict]:
+    """One row per ``(label, dataset, b, T)`` of ``cells``.
+
+    A row is the ``label`` columns, then each method's cell ``field``
+    (``"sigma"`` or ``"seconds"``) rounded to ``ndigits``.
+    """
+    return [
+        {**label, **{m: round(getattr(r.run(dsn, m, b, T), field), ndigits) for m in methods}}
+        for label, dsn, b, T in cells
+    ]
+
+
 def table_t1_opt_budget(r: Runner, *, budgets=(4, 6, 8, 10, 12), T: int = 5):
     """T1 / Fig. 5(a): σ vs budget against OPT on the 100-user sample."""
-    rows = []
-    for b in budgets:
-        row = {"b": b}
-        for m in ("opt",) + METHODS:
-            row[m] = round(r.run("small100", m, b, T).sigma, 2)
-        rows.append(row)
-    return rows
+    cells = [({"b": b}, "small100", b, T) for b in budgets]
+    return _sweep(r, cells, ("opt",) + METHODS, "sigma", 2)
 
 
 def table_t2_opt_T(r: Runner, *, Ts=(1, 2, 3, 4, 5), b: float = 8):
     """T2 / Fig. 5(b): σ vs number of promotions against OPT."""
-    rows = []
-    for T in Ts:
-        row = {"T": T}
-        for m in ("opt",) + METHODS:
-            row[m] = round(r.run("small100", m, b, T).sigma, 2)
-        rows.append(row)
-    return rows
+    cells = [({"T": T}, "small100", b, T) for T in Ts]
+    return _sweep(r, cells, ("opt",) + METHODS, "sigma", 2)
 
 
 def table_t3_large_budget(
@@ -184,15 +203,11 @@ def table_t3_large_budget(
             ds_budgets = budgets[dsn]
         else:
             ds_budgets = budgets
-        for b in ds_budgets:
-            row = {"dataset": dsn, "b": b}
-            for m in METHODS:
-                if m == "hag" and dsn == "douban_lite":
-                    row[m] = None
-                    continue
-                row[m] = round(r.run(dsn, m, b, T).sigma, 1)
-            rows.append(row)
-    return rows
+        methods = [m for m in METHODS if not (m == "hag" and dsn == "douban_lite")]
+        cells = [({"dataset": dsn, "b": b}, dsn, b, T) for b in ds_budgets]
+        rows += _sweep(r, cells, methods, "sigma", 1)
+    # A skipped method's column reads None ("—" in markdown).
+    return [{c: row.get(c) for c in ("dataset", "b") + METHODS} for row in rows]
 
 
 def table_t4_large_T(
@@ -208,37 +223,23 @@ def table_t4_large_T(
     the default matches each dataset's mid-range T3 budget.
     """
     default_b = {"yelp_lite": 25, "amazon_lite": 60}
-    rows = []
+    cells = []
     for dsn in datasets:
         ds_b = (b or default_b).get(dsn, 60) if not isinstance(b, (int, float)) else b
-        for T in Ts:
-            row = {"dataset": dsn, "T": T}
-            for m in METHODS:
-                row[m] = round(r.run(dsn, m, ds_b, T).sigma, 1)
-            rows.append(row)
-    return rows
+        cells += [({"dataset": dsn, "T": T}, dsn, ds_b, T) for T in Ts]
+    return _sweep(r, cells, METHODS, "sigma", 1)
 
 
 def table_t5_time_budget(r: Runner, *, budgets=(40, 60, 80, 100), T: int = 10):
     """T5 / Fig. 6(d): planner execution time vs budget (amazon)."""
-    rows = []
-    for b in budgets:
-        row = {"b": b}
-        for m in METHODS:
-            row[m] = round(r.run("amazon_lite", m, b, T).seconds, 2)
-        rows.append(row)
-    return rows
+    cells = [({"b": b}, "amazon_lite", b, T) for b in budgets]
+    return _sweep(r, cells, METHODS, "seconds", 2)
 
 
 def table_t6_time_T(r: Runner, *, Ts=(5, 10, 20, 40), b: float = 60):
     """T6 / Fig. 6(g): planner execution time vs T (amazon)."""
-    rows = []
-    for T in Ts:
-        row = {"T": T}
-        for m in METHODS:
-            row[m] = round(r.run("amazon_lite", m, b, T).seconds, 2)
-        rows.append(row)
-    return rows
+    cells = [({"T": T}, "amazon_lite", b, T) for T in Ts]
+    return _sweep(r, cells, METHODS, "seconds", 2)
 
 
 def table_t7_scalability(
@@ -276,22 +277,16 @@ def table_t8_metagraphs(
 
     The diffusion world always uses the full meta-graph library (users'
     true perceptions don't depend on what the planner knows); only the
-    relevance tensors *Dysim plans with* are truncated. With fewer
-    meta-graphs the planner mis-estimates relevance, preferences, and
-    markets — the paper's "better capturing users' perceptions" effect.
+    relevance tensors *Dysim plans with* are truncated to the first
+    ``n_comp`` complementary and ``n_subs`` substitutable meta-graphs.
+    With fewer meta-graphs the planner mis-estimates relevance,
+    preferences, and markets — the paper's "better capturing users'
+    perceptions" effect.
     """
-    import dataclasses
-
-    from repro.kg.metagraphs import relevance_tensor
-
-    ds = r.dataset("amazon_lite")
-    full = ds.model
+    full = r.dataset("amazon_lite").model
     rows = []
     for n_comp, n_subs in sizes:
-        s_c, s_s = relevance_tensor(ds.relevance, full.n_items, 3, 3)
-        plan_model = dataclasses.replace(
-            full, s_c=s_c[:n_comp].copy(), s_s=s_s[:n_subs].copy()
-        )
+        plan_model = dataclasses.replace(full, s_c=full.s_c[:n_comp], s_s=full.s_s[:n_subs])
         t0 = time.perf_counter()
         seeds = dysim(plan_model, b, T, max_pairs=r.max_pairs).seeds
         seconds = time.perf_counter() - t0
@@ -310,8 +305,7 @@ def table_t9_theta(r: Runner, *, thetas=(1, 40, 120, 250), b: float = 60, T: int
     """T9 / Fig. 7(b): Dysim σ vs common-user threshold θ (amazon)."""
     rows = []
     for theta in thetas:
-        params = r.params.with_(theta=theta)
-        cell = r.run("amazon_lite", "dysim", b, T, params=params, tag=f"th{theta}")
+        cell = r.run("amazon_lite", "dysim", b, T, params=r.params.with_(theta=theta))
         rows.append({"theta": theta, "dysim": round(cell.sigma, 1)})
     return rows
 

@@ -2,7 +2,6 @@
 from repro.kg.metagraphs import (
     MetaGraph,
     DEFAULT_METAGRAPHS,
-    metagraph_library,
     relevance_table_spark,
     relevance_table_pandas,
     relevance_tensor,
@@ -12,7 +11,6 @@ from repro.kg.relevance import personal_relevance, average_relevance
 __all__ = [
     "MetaGraph",
     "DEFAULT_METAGRAPHS",
-    "metagraph_library",
     "relevance_table_spark",
     "relevance_table_pandas",
     "relevance_tensor",

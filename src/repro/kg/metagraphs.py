@@ -13,20 +13,26 @@ mid nodes, and the relevance is the max-normalized count:
 (following SCSE [Huang et al., KDD'16], which correlates relevance with
 instance counts). Counting is implemented twice with one semantics:
 
-* :func:`relevance_table_spark` — DataFrame joins, the production path
-  (KGs are the large side of this paper's data);
-* :func:`relevance_table_pandas` — pandas merges, used by the local
-  planning path and as a cross-check; tests assert both agree and the
-  Spark path is additionally DuckDB-oracled.
+* :func:`relevance_table_spark` — DataFrame joins, for KGs too large
+  for one process (tested and benchmarked; the pipeline does not call
+  it);
+* :func:`relevance_table_pandas` — pandas merges, the path
+  :func:`repro.data.datasets.make_dataset` counts with; tests assert
+  both agree and the Spark path is additionally DuckDB-oracled.
+
+pyspark is imported inside the Spark functions only, so the local
+planning path never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame, SparkSession
 
 # KG edge-type names (canonical here; repro.data.kg re-exports them —
 # the data package imports from kg, never the reverse, to avoid cycles).
@@ -49,30 +55,19 @@ class MetaGraph:
     legs: tuple[str, ...]
 
 
-def metagraph_library(n_comp: int = 3, n_subs: int = 3) -> list[MetaGraph]:
-    """The default library, truncatable for the Fig. 7(a) sensitivity sweep.
-
-    Complementary (shared function/maker — things used *together*):
-    shared FEATURE; same BRAND; shared FEATURE ∧ same BRAND.
-    Substitutable (same niche — things used *instead*): same CATEGORY;
-    same CATEGORY ∧ same price TIER; shared FEATURE ∧ same CATEGORY.
-    """
-    comp = [
-        MetaGraph("mC1_shared_feature", COMP, (SUPPORTS,)),
-        MetaGraph("mC2_same_brand", COMP, (MADE_BY,)),
-        MetaGraph("mC3_feature_and_brand", COMP, (SUPPORTS, MADE_BY)),
-    ]
-    subs = [
-        MetaGraph("mS1_same_category", SUBS, (IN_CAT,)),
-        MetaGraph("mS2_category_and_tier", SUBS, (IN_CAT, IN_TIER)),
-        MetaGraph("mS3_feature_and_category", SUBS, (SUPPORTS, IN_CAT)),
-    ]
-    if not (1 <= n_comp <= len(comp) and 1 <= n_subs <= len(subs)):
-        raise ValueError("n_comp and n_subs must each be in [1, 3]")
-    return comp[:n_comp] + subs[:n_subs]
-
-
-DEFAULT_METAGRAPHS = metagraph_library()
+# The library: complementary meta-graphs (shared function/maker — things
+# used *together*): shared FEATURE; same BRAND; shared FEATURE ∧ same
+# BRAND. Substitutable ones (same niche — things used *instead*): same
+# CATEGORY; same CATEGORY ∧ same price TIER; shared FEATURE ∧ same
+# CATEGORY. T8 (Fig. 7(a)) plans on the first n of each kind.
+DEFAULT_METAGRAPHS = [
+    MetaGraph("mC1_shared_feature", COMP, (SUPPORTS,)),
+    MetaGraph("mC2_same_brand", COMP, (MADE_BY,)),
+    MetaGraph("mC3_feature_and_brand", COMP, (SUPPORTS, MADE_BY)),
+    MetaGraph("mS1_same_category", SUBS, (IN_CAT,)),
+    MetaGraph("mS2_category_and_tier", SUBS, (IN_CAT, IN_TIER)),
+    MetaGraph("mS3_feature_and_category", SUBS, (SUPPORTS, IN_CAT)),
+]
 
 
 def _leg_counts_spark(kg_edges: DataFrame, etype: str) -> DataFrame:
@@ -81,6 +76,8 @@ def _leg_counts_spark(kg_edges: DataFrame, etype: str) -> DataFrame:
     Unordered pairs are emitted once with ``x < y`` (relevance is
     symmetric; the diagonal is excluded).
     """
+    from pyspark.sql import functions as F
+
     e = kg_edges.filter(F.col("etype") == etype).select("src", "dst")
     a = e.alias("a")
     b = e.alias("b")
@@ -100,6 +97,8 @@ def relevance_table_spark(
     index of the meta-graph *within its kind* (matching the weight
     vectors' layout).
     """
+    from pyspark.sql import functions as F
+
     metas = metas if metas is not None else DEFAULT_METAGRAPHS
     parts: list[DataFrame] = []
     leg_cache: dict[str, DataFrame] = {}

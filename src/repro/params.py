@@ -45,9 +45,8 @@ class Params:
       out-degree (|V|·|I| pairs are intractable verbatim; the paper's
       implementation likewise prunes via CELF++-style laziness).
     * ``mc_plan`` — Monte-Carlo samples used inside planning
-      (MCP/DR/SI estimates); ``mc_eval`` — samples for the reported
-      sigma. The paper uses M=100 on a 1TB-RAM server; these are the
-      scaled-down defaults, overridable per experiment.
+      (MCP/DR/SI estimates). The paper uses M=100 on a 1TB-RAM server;
+      this is the scaled-down default, overridable per experiment.
     """
 
     # dynamics
@@ -68,7 +67,6 @@ class Params:
     cand_users: int = 40
     market_cap: int = 250
     mc_plan: int = 6
-    mc_eval: int = 16
 
     def with_(self, **kw) -> "Params":
         """Return a copy with the given fields replaced."""

@@ -225,14 +225,23 @@ class TestMarketEvaluator:
         groups = [[(0, 0, 1)], [(5, 1, 2), (0, 0, 1)], [], [(9, 2, 1)]]
         first = ev.sigmas(groups)
         assert len(engine_calls["calls"]) == 1
-        assert len(engine_calls["calls"][0][1]) == len(groups)
+        assert len(engine_calls["calls"][0][1]) == len(groups) - 1  # σ(∅) is not simulated
         again = ev.sigmas([g[::-1] for g in groups[::-1]] + groups)
         assert again == first[::-1] + first
         assert len(engine_calls["calls"]) == 1  # repeated and reordered: no call
         want = [simulate(small, g, 2, 3).sigma for g in groups]
         assert first == want
         ev.sigmas(groups[:2] + [[(7, 0, 2)], [(8, 0, 1)], [(7, 0, 2)]])
-        assert [len(g) for _, g in engine_calls["calls"]] == [4, 2]
+        assert [len(g) for _, g in engine_calls["calls"]] == [3, 2]
+
+    def test_empty_group_sigma_is_not_simulated(self, small, engine_calls):
+        sub = small.subgraph(np.arange(30))
+        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        assert ev.sigmas([[]]) == [simulate(sub, [], 3, 4).sigma]
+        assert ev.sigmas([[(99, 0, 1)]]) == [0.0]  # outside the market: empty too
+        assert engine_calls["calls"] == []
+        ev.sigma_pi([])  # a π request still simulates the empty group
+        assert [g for _, g in engine_calls["calls"]] == [[[]]]
 
     def test_sigma_only_request_computes_no_pi(self, small, engine_calls):
         ev = MarketEvaluator(small.subgraph(np.arange(40)), T=3, n_samples=4)

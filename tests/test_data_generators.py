@@ -152,8 +152,3 @@ class TestPresets:
         assert PRESETS["amazon_lite"].n_users < PRESETS["douban_lite"].n_users
         assert PRESETS["gowalla_lite"].n_items > PRESETS["amazon_lite"].n_items
         assert PRESETS["gowalla_lite"].random_importance is True  # website gone
-
-    def test_metagraph_truncation(self):
-        ds = make_dataset("small100", n_comp=1, n_subs=1)
-        assert ds.model.s_c.shape[0] == 1
-        assert ds.model.s_s.shape[0] == 1

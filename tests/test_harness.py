@@ -1,4 +1,9 @@
 """Tests for the experiment harness (repro.experiments.harness)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import harness as H
@@ -24,27 +29,63 @@ class TestRunner:
         with pytest.raises(KeyError):
             runner.run("small100", "nope", 5, 2)
 
-    def test_dataset_cache_by_metagraphs(self, runner):
+    def test_dataset_cache_by_params(self, runner):
         a = runner.dataset("small100")
-        b = runner.dataset("small100", n_comp=1, n_subs=1)
+        b = runner.dataset("small100", params=runner.params.with_(theta=3))
         assert a is not b
         assert a is runner.dataset("small100")
 
-
-    def test_spark_check_uses_the_cells_dataset(self, runner, monkeypatch):
+    def test_spark_check_uses_the_cells_dataset(self, runner, monkeypatch, local_as_spark):
+        """The check rebuilds the dataset of the cell's own ``params``."""
         import repro.diffusion.spark_engine as engine
 
-        cell = runner.run("small100", "ps", 6, 2, n_comp=1, n_subs=1)
+        params = runner.params.with_(theta=3)
+        cell = runner.run("small100", "ps", 6, 2, params=params)
         seen = []
 
         def fake(spark, model, seeds, T, n_samples):
             seen.append(model)
-            return engine.SparkSimResult(None, 1.5, None)
+            return local_as_spark(model, seeds, T, n_samples)
 
         monkeypatch.setattr(engine, "simulate_spark", fake)
-        assert runner.spark_check(None, cell) == 1.5
-        assert seen[0].n_comp == 1 and seen[0].n_subs == 1
-        assert seen[0] is runner.dataset("small100", n_comp=1, n_subs=1).model
+        check = runner.spark_check(None, cell)
+        assert check.mismatches == [] and check.spark_sigma == cell.sigma
+        assert seen[0] is runner.dataset("small100", params=params).model
+        assert seen[0] is not runner.dataset("small100").model
+
+    @pytest.mark.parametrize("what", ["log", "sigma", "sigma_by_t"])
+    def test_spark_check_compares_log_sigma_and_sigma_by_t(
+        self, runner, monkeypatch, local_as_spark, what
+    ):
+        import repro.diffusion.spark_engine as engine
+
+        cell = runner.run("small100", "ps", 6, 2)
+
+        def fake(spark, model, seeds, T, n_samples):
+            res = local_as_spark(model, seeds, T, n_samples)
+            if what == "log":
+                res.adoptions.loc[0, "t"] += 1
+            elif what == "sigma":
+                res.sigma += 1e-9
+            else:
+                res.sigma_by_t[1] += 1e-9
+            return res
+
+        monkeypatch.setattr(engine, "simulate_spark", fake)
+        assert runner.spark_check(None, cell).mismatches == [what]
+
+
+def test_local_path_does_not_import_pyspark():
+    """Planning and σ on the local engine never load pyspark."""
+    code = (
+        "import sys, repro.data.datasets, repro.experiments.harness, repro.core, "
+        "repro.baselines; assert 'pyspark' not in sys.modules, sorted(sys.modules)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestTables:

@@ -6,9 +6,9 @@ import pytest
 from repro.data.kg import kg_pdf
 from repro.kg.metagraphs import (
     COMP,
+    DEFAULT_METAGRAPHS,
     SUBS,
     MetaGraph,
-    metagraph_library,
     relevance_table_pandas,
     relevance_tensor,
 )
@@ -41,24 +41,12 @@ def hand_kg() -> pd.DataFrame:
 
 class TestLibrary:
     def test_default_has_three_of_each(self):
-        metas = metagraph_library()
+        metas = DEFAULT_METAGRAPHS
         assert sum(m.kind == COMP for m in metas) == 3
         assert sum(m.kind == SUBS for m in metas) == 3
 
-    def test_truncation(self):
-        metas = metagraph_library(1, 2)
-        assert sum(m.kind == COMP for m in metas) == 1
-        assert sum(m.kind == SUBS for m in metas) == 2
-
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            metagraph_library(0, 3)
-        with pytest.raises(ValueError):
-            metagraph_library(1, 4)
-
     def test_multi_leg_metas_exist(self):
-        metas = metagraph_library()
-        assert any(len(m.legs) == 2 for m in metas)
+        assert any(len(m.legs) == 2 for m in DEFAULT_METAGRAPHS)
 
 
 class TestPandasCounting:

@@ -15,7 +15,7 @@ class TestParams:
         p = Params()
         assert 0 < p.pref_floor < 1
         assert 0 < p.act_floor < p.act_cap <= 1
-        assert p.mc_plan >= 1 and p.mc_eval >= 1
+        assert p.mc_plan >= 1
 
     def test_with_replaces(self):
         p = DEFAULT.with_(gamma=0.9)
@@ -88,25 +88,24 @@ class TestJobWrappers:
         assert len(headings) == 1
         assert headings[0] in Path("table_results.md").read_text().splitlines()
 
-    @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-9, 1)])
-    def test_spark_certification_exits_1_on_divergence(
-        self, offset, code, monkeypatch, capsys, tmp_path
-    ):
-        """The certified cell's Spark σ must equal the local σ with ``==``."""
+    @staticmethod
+    def _certify(monkeypatch, tmp_path, fake_spark_run):
+        """Run ``run_all_tables.py --quick --table T1`` with ``fake_spark_run``.
+
+        The table is stubbed; the certification cell is planned and
+        checked by the real ``Runner.spark_check``. Returns the exit code
+        and the written file.
+        """
+        import repro.diffusion.spark_engine as engine
         import repro.experiments.harness as H
         import repro.spark_session
-        from repro.diffusion.local import simulate
 
         class FakeSpark:
             def stop(self):
                 pass
 
-        def spark_check(self, spark, cell, n_samples=None):
-            model = self.dataset(cell.dataset).model
-            return simulate(model, cell.seeds, cell.T, n_samples).sigma + offset
-
         monkeypatch.setattr(repro.spark_session, "job_session", lambda name: FakeSpark())
-        monkeypatch.setattr(H.Runner, "spark_check", spark_check)
+        monkeypatch.setattr(engine, "simulate_spark", lambda spark, *a: fake_spark_run(*a))
         monkeypatch.setattr(H, "table_t1_opt_budget", lambda r, **kw: [{"b": 1}])
         out = tmp_path / "tables.md"
         monkeypatch.setattr(
@@ -114,6 +113,35 @@ class TestJobWrappers:
         )
         with pytest.raises(SystemExit) as exc:
             runpy.run_path("jobs/run_all_tables.py", run_name="__main__")
-        assert exc.value.code == code
+        return exc.value.code, out.read_text()
+
+    @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-9, 1)])
+    def test_spark_certification_exits_1_on_divergence(
+        self, offset, code, monkeypatch, tmp_path, local_as_spark
+    ):
+        """The certified cell's Spark σ must equal the local σ with ``==``."""
+
+        def run(*args):
+            res = local_as_spark(*args)
+            res.sigma += offset
+            return res
+
+        got, text = self._certify(monkeypatch, tmp_path, run)
+        assert got == code
         verdict = "DIVERGED" if code else "equal"
-        assert f"must match exactly): {verdict}." in out.read_text()
+        assert f"must match exactly): {verdict}." in text
+
+    def test_spark_certification_exits_1_on_log_mismatch(
+        self, monkeypatch, capsys, tmp_path, local_as_spark
+    ):
+        """One Spark log row differs while σ and ``σ_by_t`` are equal: exit 1."""
+
+        def run(*args):
+            res = local_as_spark(*args)
+            res.adoptions.loc[0, "t"] += 1
+            return res
+
+        got, text = self._certify(monkeypatch, tmp_path, run)
+        assert got == 1
+        assert "must match exactly): DIVERGED." in text
+        assert "engines diverged: log differ" in capsys.readouterr().err

@@ -154,10 +154,12 @@ class TestPickling:
 
 
 def test_spark_submit_without_pythonpath(tmp_path):
-    """``spark-submit jobs/diffusion_spark.py`` runs with no ``PYTHONPATH``.
+    """``spark-submit jobs/run_all_tables.py --quick --table T1`` certifies its cell.
 
-    It runs from an empty directory, so neither the driver nor the
-    workers find ``repro`` except through the job itself.
+    It runs from an empty directory with no ``PYTHONPATH``, so neither
+    the driver nor the workers find ``repro`` except through the job
+    itself, and the Spark engine must reproduce the local adoption log,
+    σ and ``σ_by_t`` of the certified cell.
     """
     import pyspark
 
@@ -170,15 +172,18 @@ def test_spark_submit_without_pythonpath(tmp_path):
     }
     env["PYSPARK_PYTHON"] = env["PYSPARK_DRIVER_PYTHON"] = sys.executable
     env["SPARK_LOCAL_DIRS"] = str(tmp_path)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    out = tmp_path / "tables.md"
     proc = subprocess.run(
         [
             submit, "--driver-memory", "1g",
             "--conf", "spark.ui.enabled=false",
             "--conf", "spark.driver.host=127.0.0.1",
-            str(ROOT / "jobs" / "diffusion_spark.py"),
-            "--dataset", "small100", "--budget", "4", "--T", "2", "--samples", "2",
+            str(ROOT / "jobs" / "run_all_tables.py"),
+            "--quick", "--table", "T1", "--out", str(out),
         ],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        cwd=run_dir, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert "engines agree exactly" in proc.stdout
+    assert "must match exactly): equal." in out.read_text()

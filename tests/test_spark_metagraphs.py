@@ -4,7 +4,7 @@ import pytest
 
 from repro.data.kg import kg_pdf
 from repro.kg.metagraphs import (
-    metagraph_library,
+    DEFAULT_METAGRAPHS,
     relevance_table_pandas,
     relevance_table_spark,
 )
@@ -36,7 +36,7 @@ class TestSparkCounting:
 
         got = (
             relevance_table_spark(spark, spark.createDataFrame(kg),
-                                  metagraph_library(1, 1))
+                                  DEFAULT_METAGRAPHS[:1] + DEFAULT_METAGRAPHS[3:4])
             .filter(F.col("kind") == "C")
             .select("x", "y", "s")
         )
@@ -56,7 +56,7 @@ class TestSparkCounting:
 
     def test_truncated_library(self, spark, kg):
         got = relevance_table_spark(
-            spark, spark.createDataFrame(kg), metagraph_library(2, 1)
+            spark, spark.createDataFrame(kg), DEFAULT_METAGRAPHS[:2] + DEFAULT_METAGRAPHS[3:4]
         ).toPandas()
         assert set(got[got["kind"] == "C"]["meta"]) <= {0, 1}
         assert set(got[got["kind"] == "S"]["meta"]) <= {0}
