@@ -12,16 +12,16 @@ Bundle = the top ``BUNDLE_SIZE`` items by importance (capped so a
 bundle is affordable at the experimental budgets; the paper's target
 sets are likewise small relative to the catalogue). Timings: CR-Greedy
 per user, the user's whole bundle at one round (a bundle is promoted
-together).
+together). The user greedy is :func:`repro.core.nominees.lazy_greedy`
+on :meth:`MarketEvaluator.marginals`, with a user's cost the sum of its
+bundle's item costs.
 """
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
-from repro.core.nominees import candidate_users
+from repro.core.nominees import candidate_users, lazy_greedy
 from repro.core.tdsi import MarketEvaluator
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
@@ -30,34 +30,22 @@ BUNDLE_SIZE = 4  # items per bundle, the most important ones
 
 
 def bundlegrd(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
-    """Greedy (lazy) user selection for the importance-top bundle."""
+    """Lazy-greedy user selection for the importance-top bundle."""
     check_plan_inputs(budget, T)
     p = model.params
     bundle = [int(x) for x in np.argsort(-model.importance)[:BUNDLE_SIZE]]
     ev = MarketEvaluator(model, 1, p.mc_plan, frozen=True)
 
-    def user_cost(u: int) -> float:
-        return float(sum(model.cost[u, x] for x in bundle))
-
     def seeds_of(users: list[int]) -> list[tuple[int, int, int]]:
         return [(u, x, 1) for u in users for x in bundle]
 
-    affordable = [u for u in candidate_users(model) if user_cost(u) <= budget]
-    heap: list[tuple[float, int, int]] = []
-    for u, gain in zip(affordable, ev.sigmas([seeds_of([u]) for u in affordable])):
-        heapq.heappush(heap, (-gain / user_cost(u), u, 0))
-    selected_users: list[int] = []
-    spent = 0.0
-    while heap:
-        _, u, at = heapq.heappop(heap)
-        c = user_cost(u)
-        if spent + c > budget:
-            continue
-        if at < len(selected_users):
-            f_new, f_sel = ev.sigmas([seeds_of(selected_users + [u]), seeds_of(selected_users)])
-            heapq.heappush(heap, (-(f_new - f_sel) / c, u, len(selected_users)))
-            continue
-        selected_users.append(u)
-        spent += c
+    def gains(users: list[int]) -> list[float]:
+        return ev.marginals(seeds_of(selected), [seeds_of([u]) for u in users])
 
-    return cr_greedy_timings(model, [[(u, x) for x in bundle] for u in selected_users], T)
+    def user_cost(u: int) -> float:
+        return float(sum(model.cost[u, x] for x in bundle))
+
+    selected: list[int] = []
+    for u in lazy_greedy(candidate_users(model), gains, cost=user_cost, budget=budget):
+        selected.append(u)
+    return cr_greedy_timings(model, [[(u, x) for x in bundle] for u in selected], T)

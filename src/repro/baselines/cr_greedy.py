@@ -41,9 +41,7 @@ def cr_greedy_timings(
 
     assigned: list[tuple[int, int, int]] = []
     for g in groups:
-        base, *sigmas = ev.sigmas(
-            [assigned] + [assigned + [(u, x, t) for u, x in g] for t in grid]
-        )
-        _, neg_t = max((sig - base, -t) for sig, t in zip(sigmas, grid))
+        gains = ev.marginals(assigned, [[(u, x, t) for u, x in g] for t in grid])
+        _, neg_t = max(zip(gains, (-t for t in grid)))
         assigned.extend((u, x, -neg_t) for u, x in g)
     return assigned

@@ -7,7 +7,10 @@ The planner works in three phases over each group 𝒢 of target markets
   reachability, recomputed from the market's *current* average
   perception (i.e., after simulating the seed group chosen so far);
 * TDSI assigns each of that item's nominees the promotional timing in
-  the Algorithm-1 window that maximizes substantial influence.
+  the Algorithm-1 window that maximizes substantial influence, taking
+  the nominees in :func:`repro.core.nominees.lazy_greedy` order of
+  their best SI; its first pass scores every nominee over the window
+  in one evaluator request.
 
 All planning estimates run on market submodels with the shared local
 Monte-Carlo engine (common random numbers); the returned seed group is
@@ -15,7 +18,6 @@ evaluated on the full model by the caller.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.core.clustering import (
@@ -25,7 +27,7 @@ from repro.core.clustering import (
     initial_average_relevance,
 )
 from repro.core.dre import dr_all_items
-from repro.core.nominees import MAX_PAIRS, select_nominees
+from repro.core.nominees import MAX_PAIRS, lazy_greedy, select_nominees
 from repro.core.tdsi import MarketEvaluator, substantial_influence, timing_window
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
@@ -70,8 +72,7 @@ def dysim(
             ev = MarketEvaluator(tau.submodel, T, p.mc_plan)
             T_market = max(1, round(len(tau.nominees) * T / max(1, total_nominees)))
 
-            remaining = list(tau.nominees)
-            items_left = sorted({x for _, x in remaining})
+            items_left = sorted({x for _, x in tau.nominees})
             market_seeds: list[tuple[int, int, int]] = []
 
             while items_left:
@@ -80,35 +81,30 @@ def dysim(
                 dr = dr_all_items(rc_tau, rs_tau, model.importance, tau.diameter)
                 x_p = max(items_left, key=lambda x: (dr[x], -x))
                 items_left.remove(x_p)
-                n_p = [(u, x) for (u, x) in remaining if x == x_p]
 
                 # ---- TDSI: timing per nominee of x_p -----------------
                 # Lazy (CELF-style) extraction: SI marginals shrink as
-                # the seed group grows, so a candidate whose cached SI
-                # was computed against the current group can be taken
-                # without re-scanning the rest.
-                def _best_si(u: int, x: int):
-                    window = timing_window(
-                        seeds + group_seeds, T, T_market, prev_last_t
-                    )
-                    si = substantial_influence(
-                        ev, group_seeds, [(u, x, t) for t in window], T
-                    )
-                    best, neg_t = max(zip(si, (-t for t in window)))
-                    return best, -neg_t
+                # the seed group grows. A nominee's SI is its best over
+                # the timing window; every nominee of x_p is scored in
+                # one request.
+                best_t: dict[tuple[int, int], int] = {}
 
-                heap: list[tuple[float, int, int, int, int]] = []
-                for u, x in n_p:
-                    si, t = _best_si(u, x)
-                    heapq.heappush(heap, (-si, u, x, t, len(group_seeds)))
-                while heap:
-                    neg_si, u, x, t, at = heapq.heappop(heap)
-                    if at < len(group_seeds):
-                        si, t = _best_si(u, x)
-                        heapq.heappush(heap, (-si, u, x, t, len(group_seeds)))
-                        continue
-                    chosen = (u, x, t)
-                    remaining.remove((u, x))
+                def gains(pairs: list[tuple[int, int]]) -> list[float]:
+                    window = timing_window(seeds + group_seeds, T, T_market, prev_last_t)
+                    si = substantial_influence(
+                        ev, group_seeds, [(u, x, t) for u, x in pairs for t in window], T
+                    )
+                    out = []
+                    for i, pair in enumerate(pairs):
+                        row = si[i * len(window):(i + 1) * len(window)]
+                        best, neg_t = max(zip(row, (-t for t in window)))
+                        best_t[pair] = -neg_t
+                        out.append(best)
+                    return out
+
+                n_p = [(u, x) for u, x in tau.nominees if x == x_p]
+                for u, x in lazy_greedy(n_p, gains):
+                    chosen = (u, x, best_t[u, x])
                     group_seeds.append(chosen)
                     market_seeds.append(chosen)
             prev_last_t = max((t for _, _, t in market_seeds), default=prev_last_t)

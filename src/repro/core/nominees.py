@@ -8,6 +8,10 @@ values. TMI greedily extracts the highest-MCP nominee that still fits
 the remaining budget, sped up with CELF-style lazy re-evaluation (the
 paper exploits submodularity "similar to CELF++").
 
+:func:`lazy_greedy` is that CELF loop, the one behind every greedy
+planner: TMI (and HAG through it), BundleGRD's user greedy and TDSI's
+timing extraction.
+
 The candidate universe ``U = V × I`` is pruned first: top users by
 out-degree crossed with all items, ranked by a cheap one-hop proxy and
 capped at ``max_pairs`` (default :data:`MAX_PAIRS`; the paper's server
@@ -17,6 +21,7 @@ and the cap is a documented tractability deviation — DESIGN.md §3).
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -57,6 +62,39 @@ def candidate_pool(model: ModelData, *, max_pairs: int = MAX_PAIRS) -> list[tupl
     return [(u, x) for _, u, x in pairs[:max_pairs]]
 
 
+def lazy_greedy(cands, gains, *, cost=None, budget=math.inf):
+    """Yield candidates in lazy-greedy (CELF) order.
+
+    ``gains(cs)`` scores the candidates ``cs`` against the picks made so
+    far: the caller records each yielded pick before it resumes the
+    generator. Candidates costing more than ``budget`` are dropped, the
+    rest are scored in one ``gains`` call and kept in a heap of
+    ``(−gain / cost(c), c, picks when scored)``; with ``cost`` None every
+    candidate costs 1.0. A popped entry that no longer fits the
+    remaining budget is dropped; a stale one is re-scored alone and
+    pushed back; a fresh one is yielded. Candidates must be unique and
+    orderable: ties of the ratio break by the candidate.
+    """
+    price = cost or (lambda c: 1.0)
+    cands = [c for c in cands if price(c) <= budget]
+    if not cands:
+        return
+    heap = [(-g / price(c), c, 0) for c, g in zip(cands, gains(cands))]
+    heapq.heapify(heap)
+    picked, spent = 0, 0.0
+    while heap:
+        _, c, at = heapq.heappop(heap)
+        if spent + price(c) > budget:
+            continue  # too expensive now; a cheaper one may still fit
+        if at < picked:
+            (g,) = gains([c])
+            heapq.heappush(heap, (-g / price(c), c, picked))
+            continue
+        yield c
+        picked += 1
+        spent += price(c)
+
+
 def select_nominees(
     model: ModelData,
     budget: float,
@@ -65,7 +103,7 @@ def select_nominees(
     frozen: bool = False,
     scope: str = "local",
 ) -> list[tuple[int, int]]:
-    """Greedy MCP selection with lazy (CELF) re-evaluation.
+    """Greedy MCP selection by :func:`lazy_greedy`.
 
     Returns nominees in selection order; their total cost is ≤ budget.
     The objective ``f`` is σ with the nominees seeded at t = 1: Sec.
@@ -74,22 +112,19 @@ def select_nominees(
     the importance-aware influence of one promotion. ``frozen`` selects
     the dynamics-blind objective (for the baselines).
 
-    A candidate's marginal is ``f(base + cand) − f(base)`` on a
-    :class:`MarketEvaluator`. ``scope="local"`` (Dysim's mode) uses one
-    evaluator per candidate user, on the submodel induced by the user's
-    MIOA influence region (``base`` is the selected nominees inside it)
-    — a bounded-cost approximation of the full marginal that keeps TMI
-    fast regardless of budget (the paper credits TMI's speed for
-    Fig. 6(d)). ``scope="full"`` uses one evaluator on the full model,
-    so the marginals are exact (used by the HAG baseline, whose cost
-    then grows with the number of selected seeds, as the paper
-    observes).
+    A candidate's marginal is :meth:`MarketEvaluator.marginals` of the
+    selected nominees, one request per evaluator. ``scope="local"``
+    (Dysim's mode) uses one evaluator per candidate user, on the
+    submodel induced by the user's MIOA influence region (``base`` is
+    the selected nominees inside it) — a bounded-cost approximation of
+    the full marginal that keeps TMI fast regardless of budget (the
+    paper credits TMI's speed for Fig. 6(d)). ``scope="full"`` uses one
+    evaluator on the full model, so the marginals are exact (used by
+    the HAG baseline, whose cost then grows with the number of selected
+    seeds, as the paper observes).
     """
     p = model.params
-    pool = candidate_pool(model, max_pairs=max_pairs)
     selected: list[tuple[int, int]] = []
-    spent = 0.0
-
     evaluators: dict[int | None, MarketEvaluator] = {}
 
     def evaluator(u: int) -> MarketEvaluator:
@@ -99,35 +134,17 @@ def select_nominees(
             evaluators[key] = MarketEvaluator(sm, 1, p.mc_plan, frozen=frozen)
         return evaluators[key]
 
-    def marginal(u: int, x: int) -> float:
-        base = [(su, sx, 1) for su, sx in selected]
-        s1, s0 = evaluator(u).sigmas([base + [(u, x, 1)], base])
-        return s1 - s0
+    def gains(pairs: list[tuple[int, int]]) -> list[float]:
+        base = [(u, x, 1) for u, x in selected]
+        by_ev: dict[MarketEvaluator, list[tuple[int, int]]] = {}
+        for pair in pairs:
+            by_ev.setdefault(evaluator(pair[0]), []).append(pair)
+        out: dict[tuple[int, int], float] = {}
+        for ev, ev_pairs in by_ev.items():
+            out.update(zip(ev_pairs, ev.marginals(base, [[(u, x, 1)] for u, x in ev_pairs])))
+        return [out[pair] for pair in pairs]
 
-    # First CELF pass: with nothing selected, a candidate's marginal is
-    # its own f, scored in one request per evaluator.
-    pending: dict[MarketEvaluator, list[tuple[int, int]]] = {}
-    for u, x in pool:
-        pending.setdefault(evaluator(u), []).append((u, x))
-    first: dict[tuple[int, int], float] = {}
-    for ev, pairs in pending.items():
-        first.update(zip(pairs, ev.sigmas([[(u, x, 1)] for u, x in pairs])))
-
-    # Heap of (-mcp, tie, u, x, evaluated_at_size); lazily re-evaluated.
-    heap: list[tuple[float, tuple[int, int], int, int, int]] = []
-    for u, x in pool:
-        heapq.heappush(heap, (-first[u, x] / model.cost[u, x], (u, x), u, x, 0))
-
-    while heap:
-        _, _, u, x, at = heapq.heappop(heap)
-        cost = float(model.cost[u, x])
-        if spent + cost > budget:
-            continue  # too expensive now; a cheaper one may still fit
-        if at < len(selected):
-            mcp = marginal(u, x) / cost
-            heapq.heappush(heap, (-mcp, (u, x), u, x, len(selected)))
-            continue
-        # Fresh evaluation at the current set size: take it.
-        selected.append((u, x))
-        spent += cost
+    pool = candidate_pool(model, max_pairs=max_pairs)
+    for pair in lazy_greedy(pool, gains, cost=lambda c: float(model.cost[c]), budget=budget):
+        selected.append(pair)
     return selected

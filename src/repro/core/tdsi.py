@@ -24,7 +24,8 @@ from repro.kg.relevance import mean_weights, personal_relevance
 class MarketEvaluator:
     """σ (and π, r̄) of seed groups on one (sub)model, each group simulated once.
 
-    The seed-group evaluator of TMI, BundleGRD, CR-Greedy and TDSI/DRE.
+    The seed-group evaluator of TMI, BundleGRD, CR-Greedy and TDSI/DRE;
+    :meth:`marginals` is the one marginal-gain request of the greedy ones.
     Seeds are given in *global* user ids and silently dropped if their
     user lies outside the submodel (they cannot contribute adoptions
     inside it when the diffusion is restricted to it, by construction);
@@ -77,6 +78,12 @@ class MarketEvaluator:
     def sigmas(self, groups) -> list[float]:
         """σ of each seed group; computes no π."""
         return [self._sigma[k] for k in self._request(groups, False)]
+
+    def marginals(self, base, extensions) -> list[float]:
+        """``σ(base + e) − σ(base)`` for each extension ``e``, in one σ-only request."""
+        base = list(base)
+        sigma0, *sigmas = self.sigmas([base] + [base + list(e) for e in extensions])
+        return [s - sigma0 for s in sigmas]
 
     def sigma_pis(self, groups) -> list[tuple[float, float]]:
         """``(σ^τ, π^τ)`` of each seed group, each read through :meth:`sigma_pi`."""

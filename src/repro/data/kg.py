@@ -23,6 +23,11 @@ from repro.kg.metagraphs import IN_CAT, IN_TIER, MADE_BY, SUPPORTS  # noqa: F401
 
 ITEM, FEATURE, BRAND, CATEGORY, TIER = "ITEM", "FEATURE", "BRAND", "CATEGORY", "TIER"
 N_TIERS = 3
+FEATS_PER_ITEM = 3  # SUPPORTS edges per item
+FEAT_ZIPF = 1.05  # zipf exponent of feature popularity
+PREF_RANK = 4  # latent factors of the base preferences
+PREF_LO, PREF_HI = 0.05, 0.5  # base-preference range
+COST_MIN, COST_SCALE = 1.0, 9.0  # seed cost = COST_MIN + COST_SCALE · degree share · (1 − pref)
 
 
 def item_importance(n_items: int, *, seed: int = 0, random_uniform: bool = False) -> np.ndarray:
@@ -38,35 +43,30 @@ def item_importance(n_items: int, *, seed: int = 0, random_uniform: bool = False
 
 
 def kg_pdf(
-    n_items: int,
-    *,
-    n_features: int | None = None,
-    n_brands: int | None = None,
-    n_categories: int | None = None,
-    feats_per_item: int = 3,
-    feat_zipf: float = 1.05,
-    seed: int = 0,
-    importance: np.ndarray | None = None,
+    n_items: int, *, seed: int = 0, importance: np.ndarray | None = None
 ) -> pd.DataFrame:
     """Typed KG edge list ``(src, src_type, etype, dst, dst_type)``.
 
     ``src`` is always an item id in ``[0, n_items)``; ``dst`` is an id
-    within its own type's namespace. Feature assignment is zipf-skewed
-    so popular features create dense complementary neighbourhoods,
-    matching real catalogues.
+    within its own type's namespace. Each item supports
+    :data:`FEATS_PER_ITEM` of ``max(6, 2·n_items)`` features, drawn
+    zipf-skewed (exponent :data:`FEAT_ZIPF`) so popular features create
+    dense complementary neighbourhoods, matching real catalogues; it has
+    one of ``max(2, n_items // 4)`` brands and one of
+    ``max(2, n_items // 6)`` categories.
     """
-    n_features = n_features or max(6, 2 * n_items)
-    n_brands = n_brands or max(2, n_items // 4)
-    n_categories = n_categories or max(2, n_items // 6)
+    n_features = max(6, 2 * n_items)
+    n_brands = max(2, n_items // 4)
+    n_categories = max(2, n_items // 6)
     g = np.random.default_rng(seed + 17)
 
     ranks = np.arange(1, n_features + 1, dtype=np.float64)
-    p = ranks**-feat_zipf
+    p = ranks**-FEAT_ZIPF
     p /= p.sum()
 
     rows = []
     for x in range(n_items):
-        k = min(n_features, feats_per_item)
+        k = min(n_features, FEATS_PER_ITEM)
         feats = g.choice(n_features, size=k, replace=False, p=p)
         rows.extend((x, ITEM, SUPPORTS, int(f), FEATURE) for f in feats)
         rows.append((x, ITEM, MADE_BY, int(g.integers(n_brands)), BRAND))
@@ -93,31 +93,28 @@ def kg_pdf(
     )
 
 
-def base_preferences(
-    n_users: int, n_items: int, *, rank: int = 4, lo: float = 0.05, hi: float = 0.5, seed: int = 0
-) -> np.ndarray:
-    """Base (pre-diffusion) user×item preference matrix in ``[lo, hi]``.
+def base_preferences(n_users: int, n_items: int, *, seed: int = 0) -> np.ndarray:
+    """Base (pre-diffusion) user×item preference matrix in ``[PREF_LO, PREF_HI]``.
 
-    Low-rank latent-factor structure — users who like one item in a
-    taste cluster like its neighbours — squashed into a probability
-    range with positive floor (the paper requires ``P_minpref > 0``).
+    Low-rank (:data:`PREF_RANK`) latent-factor structure — users who
+    like one item in a taste cluster like its neighbours — squashed into
+    a probability range with positive floor (the paper requires
+    ``P_minpref > 0``).
     """
     g = np.random.default_rng(seed + 31)
-    u = g.normal(size=(n_users, rank))
-    v = g.normal(size=(rank, n_items))
-    z = u @ v / np.sqrt(rank)
+    u = g.normal(size=(n_users, PREF_RANK))
+    v = g.normal(size=(PREF_RANK, n_items))
+    z = u @ v / np.sqrt(PREF_RANK)
     z = 1.0 / (1.0 + np.exp(-z))  # (0, 1)
-    return lo + (hi - lo) * z
+    return PREF_LO + (PREF_HI - PREF_LO) * z
 
 
-def seed_costs(
-    out_deg: np.ndarray, base_pref: np.ndarray, *, cost_min: float = 1.0, cost_scale: float = 9.0
-) -> np.ndarray:
+def seed_costs(out_deg: np.ndarray, base_pref: np.ndarray) -> np.ndarray:
     """Cost ``c_{u,x}`` of hiring ``u`` to promote ``x`` (Sec. VI-A).
 
     Proportional to the user's out-degree (influencers charge more) and
     to ``1 − P_pref(u,x)`` (users who like the item less need more
-    incentive). Shaped ``[n_users, n_items]``; min cost ``cost_min``.
+    incentive). Shaped ``[n_users, n_items]``; min cost :data:`COST_MIN`.
     """
     d = out_deg.astype(np.float64) / max(1.0, out_deg.max())
-    return cost_min + cost_scale * d[:, None] * (1.0 - base_pref)
+    return COST_MIN + COST_SCALE * d[:, None] * (1.0 - base_pref)

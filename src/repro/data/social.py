@@ -12,17 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+ALPHA = 0.9  # zipf exponent of the expected-degree weights
 
-def social_edges_pdf(
-    n_users: int,
-    avg_out_deg: float,
-    *,
-    alpha: float = 0.9,
-    seed: int = 0,
-) -> pd.DataFrame:
+
+def social_edges_pdf(n_users: int, avg_out_deg: float, *, seed: int = 0) -> pd.DataFrame:
     """Directed edge list ``(src, dst)`` with ~``n_users*avg_out_deg`` edges.
 
-    ``alpha`` is the Zipf exponent of the expected-degree weights; user
+    :data:`ALPHA` is the Zipf exponent of the expected-degree weights; user
     ids are randomly permuted so id order carries no degree signal.
     Self-loops and duplicate edges are dropped (so the realized count is
     slightly below the target). Output is sorted by (src, dst).
@@ -31,7 +27,7 @@ def social_edges_pdf(
         raise ValueError("need at least 2 users")
     g = np.random.default_rng(seed)
     ranks = np.arange(1, n_users + 1, dtype=np.float64)
-    w = ranks ** (-alpha)
+    w = ranks ** (-ALPHA)
     w /= w.sum()
     perm = g.permutation(n_users)
 

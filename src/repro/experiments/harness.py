@@ -177,17 +177,17 @@ def table_t3_large_budget(
     r: Runner,
     *,
     datasets=("yelp_lite", "amazon_lite", "douban_lite"),
-    budgets=None,
+    budgets: tuple | None = None,
     T: int = 10,
 ):
     """T3 / Fig. 6(a–c): σ vs budget on the large datasets.
 
     Budget axes differ per dataset, as in the paper's Fig. 6(a–c)
     (budgets are meaningful relative to the network's seed costs and
-    size). ``budgets`` may be a tuple (applied to all) or a dict
-    ``{dataset: tuple}``. HAG is skipped on douban (the paper's
-    Fig. 6(c) omits it — no result within 12 hours there; our HAG is
-    likewise the slowest method on the largest dataset).
+    size): ``None`` takes each dataset's default axis, a tuple applies to
+    all. HAG is skipped on douban (the paper's Fig. 6(c) omits it — no
+    result within 12 hours there; our HAG is likewise the slowest method
+    on the largest dataset).
     """
     default_budgets = {
         "yelp_lite": (15, 25, 35, 45),
@@ -197,13 +197,8 @@ def table_t3_large_budget(
     }
     rows = []
     for dsn in datasets:
-        if budgets is None:
-            ds_budgets = default_budgets[dsn]
-        elif isinstance(budgets, dict):
-            ds_budgets = budgets[dsn]
-        else:
-            ds_budgets = budgets
         methods = [m for m in METHODS if not (m == "hag" and dsn == "douban_lite")]
+        ds_budgets = default_budgets[dsn] if budgets is None else budgets
         cells = [({"dataset": dsn, "b": b}, dsn, b, T) for b in ds_budgets]
         rows += _sweep(r, cells, methods, "sigma", 1)
     # A skipped method's column reads None ("—" in markdown).
@@ -215,18 +210,19 @@ def table_t4_large_T(
     *,
     datasets=("yelp_lite", "amazon_lite"),
     Ts=(5, 10, 20, 40),
-    b=None,
+    b: float | None = None,
 ):
     """T4 / Fig. 6(e–f): σ vs number of promotions on large datasets.
 
-    ``b`` may be a float (all datasets) or a dict ``{dataset: float}``;
-    the default matches each dataset's mid-range T3 budget.
+    ``None`` takes each dataset's mid-range T3 budget; a number applies
+    to all.
     """
     default_b = {"yelp_lite": 25, "amazon_lite": 60}
-    cells = []
-    for dsn in datasets:
-        ds_b = (b or default_b).get(dsn, 60) if not isinstance(b, (int, float)) else b
-        cells += [({"dataset": dsn, "T": T}, dsn, ds_b, T) for T in Ts]
+    cells = [
+        ({"dataset": dsn, "T": T}, dsn, default_b[dsn] if b is None else b, T)
+        for dsn in datasets
+        for T in Ts
+    ]
     return _sweep(r, cells, METHODS, "sigma", 1)
 
 

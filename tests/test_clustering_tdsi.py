@@ -251,6 +251,15 @@ class TestMarketEvaluator:
         assert len(si) == 2
         assert engine_calls["pi"] == 3  # the seed group and its two extensions
 
+    @pytest.mark.parametrize("base", [[], [(0, 0, 1)], [(0, 0, 1), (5, 1, 2), (99, 0, 1)]])
+    def test_marginals_equal_sigma_differences(self, small, base):
+        sub = small.subgraph(np.arange(30))
+        ext = [[(3, 1, 1)], [(3, 1, 2), (7, 0, 1)], [(99, 2, 1)], []]
+        got = MarketEvaluator(sub, T=3, n_samples=4).marginals(base, ext)
+        s0, *s = MarketEvaluator(sub, T=3, n_samples=4).sigmas([base] + [base + e for e in ext])
+        assert got == [s1 - s0 for s1 in s]
+        assert got[2:] == [0.0, 0.0]  # out-of-market and empty extensions add nothing
+
     @pytest.mark.parametrize("frozen", [True, False])
     def test_sigma_equals_simulate(self, small, frozen):
         group = [(61, 0, 1), (61, 2, 1), (39, 5, 1)]

@@ -5,7 +5,11 @@ import pytest
 
 from repro.data.datasets import PRESETS, make_dataset
 from repro.data.kg import (
+    COST_MIN,
+    FEATS_PER_ITEM,
     N_TIERS,
+    PREF_HI,
+    PREF_LO,
     base_preferences,
     item_importance,
     kg_pdf,
@@ -73,9 +77,9 @@ class TestKg:
             assert sorted(sub["src"]) == list(range(12)), et
 
     def test_features_per_item(self):
-        kg = kg_pdf(12, feats_per_item=3, seed=0)
+        kg = kg_pdf(12, seed=0)
         sup = kg[kg["etype"] == "SUPPORTS"]
-        assert (sup.groupby("src").size() == 3).all()
+        assert (sup.groupby("src").size() == FEATS_PER_ITEM).all()
 
     def test_deterministic(self):
         pd.testing.assert_frame_equal(kg_pdf(10, seed=1), kg_pdf(10, seed=1))
@@ -105,9 +109,9 @@ class TestImportanceAndCosts:
         assert not np.allclose(a, b)
 
     def test_base_pref_range(self):
-        p = base_preferences(40, 20, lo=0.05, hi=0.5, seed=0)
+        p = base_preferences(40, 20, seed=0)
         assert p.shape == (40, 20)
-        assert (p >= 0.05).all() and (p <= 0.5).all()
+        assert (p >= PREF_LO).all() and (p <= PREF_HI).all()
 
     def test_costs_increase_with_degree(self):
         pref = np.full((3, 2), 0.3)
@@ -120,8 +124,8 @@ class TestImportanceAndCosts:
         assert c[0, 0] > c[0, 1]
 
     def test_cost_floor(self):
-        c = seed_costs(np.array([0, 3]), np.full((2, 2), 0.5), cost_min=1.0)
-        assert (c >= 1.0).all()
+        c = seed_costs(np.array([0, 3]), np.full((2, 2), 0.5))
+        assert (c >= COST_MIN).all()
 
 
 class TestPresets:

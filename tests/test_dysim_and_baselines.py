@@ -1,10 +1,14 @@
 """End-to-end tests for Dysim and the baselines on small100."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import bundlegrd, cr_greedy_timings, hag, opt_bruteforce, ps
 from repro.core.dysim import dysim
-from repro.core.nominees import candidate_pool, select_nominees
+from repro.core.nominees import candidate_pool, lazy_greedy, select_nominees
 from repro.data.datasets import make_dataset
 from repro.diffusion.local import simulate
 
@@ -16,6 +20,80 @@ def small():
 
 def _cost(model, seeds):
     return sum(float(model.cost[u, x]) for u, x, *_ in seeds)
+
+
+@st.composite
+def coverage_instances(draw):
+    """A weighted coverage objective over candidate sets, with costs and a budget."""
+    n_elems = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n_elems, max_size=n_elems))
+    element = st.integers(0, n_elems - 1)
+    sets = draw(st.lists(st.frozensets(element, max_size=5), min_size=1, max_size=10))
+    costs = draw(st.lists(st.integers(1, 5), min_size=len(sets), max_size=len(sets)))
+    budget = draw(st.integers(0, 20))
+    return weights, sets, costs, budget
+
+
+def _coverage_gain(weights, sets, covered, c):
+    return float(sum(weights[e] for e in sets[c] - covered))
+
+
+def _plain_greedy(weights, sets, cost, budget):
+    """Non-lazy greedy: re-score every candidate that still fits, each round."""
+    picks, spent, covered = [], 0.0, set()
+    while True:
+        fits = [c for c in range(len(sets)) if c not in picks and spent + cost(c) <= budget]
+        if not fits:
+            return picks
+        best = min(fits, key=lambda c: (-_coverage_gain(weights, sets, covered, c) / cost(c), c))
+        picks.append(best)
+        spent += cost(best)
+        covered |= sets[best]
+
+
+class TestLazyGreedy:
+    @given(inst=coverage_instances(), unit_cost=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_greedy(self, inst, unit_cost):
+        """On monotone submodular coverage, CELF picks what plain greedy picks."""
+        weights, sets, costs, budget = inst
+        cost = costs.__getitem__
+        if unit_cost:
+            cost, budget = None, math.inf
+        picks: list[int] = []
+
+        def gains(cands):
+            covered = set().union(*(sets[c] for c in picks))
+            return [_coverage_gain(weights, sets, covered, c) for c in cands]
+
+        for c in lazy_greedy(range(len(sets)), gains, cost=cost, budget=budget):
+            picks.append(c)
+        assert picks == _plain_greedy(weights, sets, cost or (lambda c: 1.0), budget)
+
+    def test_one_full_scoring_then_single_rescores(self):
+        """``gains`` sees every affordable candidate once, then one stale candidate a call."""
+        sets = [{0, 1}, {1, 2}, {0, 2}, {3}, {0, 1, 2, 3}]
+        costs = [1, 1, 1, 1, 9]
+        calls: list[list[int]] = []
+        picks: list[int] = []
+
+        def gains(cands):
+            calls.append(list(cands))
+            covered = set().union(*(sets[c] for c in picks))
+            return [float(len(sets[c] - covered)) for c in cands]
+
+        for c in lazy_greedy(range(len(sets)), gains, cost=costs.__getitem__, budget=3):
+            picks.append(c)
+        assert calls[0] == [0, 1, 2, 3]  # candidate 4 costs more than the budget
+        assert len(calls) > 1
+        assert all(len(call) == 1 for call in calls[1:])
+        assert len(picks) == 3
+
+    def test_nothing_affordable_scores_nothing(self):
+        def gains(cands):
+            raise AssertionError("scored an unaffordable candidate")
+
+        assert list(lazy_greedy([(0, 0), (1, 0)], gains, cost=lambda c: 2.0, budget=1)) == []
 
 
 class TestCandidatePoolAndNominees:
@@ -120,13 +198,11 @@ class TestBaselines:
 
 class TestOpt:
     def test_respects_budget(self, small):
-        seeds = opt_bruteforce(small, budget=5, T=2, pool_size=4, max_seeds=2,
-                               n_samples=4, screen_samples=2, screen_keep=8)
+        seeds = opt_bruteforce(small, budget=5, T=2)
         assert _cost(small, seeds) <= 5
 
     def test_beats_single_candidates(self, small):
-        seeds = opt_bruteforce(small, budget=8, T=2, pool_size=4, max_seeds=2,
-                               n_samples=8, screen_samples=2, screen_keep=16)
+        seeds = opt_bruteforce(small, budget=8, T=2)
         best = simulate(small, seeds, 2, 8).sigma
         for u, x in candidate_pool(small, max_pairs=4):
             if small.cost[u, x] <= 8:
@@ -134,4 +210,4 @@ class TestOpt:
                 assert best >= single - 1e-9
 
     def test_empty_when_nothing_affordable(self, small):
-        assert opt_bruteforce(small, budget=0.5, T=2, pool_size=3, max_seeds=2) == []
+        assert opt_bruteforce(small, budget=0.5, T=2) == []
