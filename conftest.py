@@ -6,7 +6,8 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    limit > half of the host's ``MemTotal`` clamped to 2–8g (the tier-1
+    command's rule) > 2g. spark.driver.memory is read at JVM launch, not
     from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
     imported anywhere — this runs at conftest import, which pytest loads
     before any test module.
@@ -14,7 +15,8 @@ def _driver_mem() -> str:
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
     value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    is treated as absent, and the host's memory bounds the heap instead,
+    so the JVM is never handed an impossible heap.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
@@ -23,7 +25,8 @@ def _driver_mem() -> str:
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
-            raw = open(p).read().strip()
+            with open(p) as f:
+                raw = f.read().strip()
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
@@ -33,8 +36,15 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    try:
+        with open("/proc/meminfo") as f:
+            kb = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = f"meminfo:MemTotal={kb} kB"
+        return f"{min(8, max(2, kb // (2 << 20)))}g"  # half of it, in GiB
+    except (OSError, ValueError, IndexError, StopIteration):
+        pass
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    return "2g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -27,12 +27,20 @@ rows (at least one group); a chunk's (group, sample) pairs are its
 *virtual samples*, stepped in blocks: ``adopted`` of a block is viewed
 as ``[n·U, I]`` and a frontier pair is a row ``g = j·U + u`` (``j``
 block-local) and an item. A block holds at most ``BLOCK_ROWS`` user
-rows (at least one virtual sample); the per-event ``[events, I]``
-arrays and the preference rows are formed ``CHUNK_ROWS`` at a time,
-which bounds memory. No size changes a result: every draw is keyed by
-the global sample index and never by the group, each row's state is
-its own, and the kernels give the same bits for any batch (DESIGN.md
-§2, "Exactness of the batched engine").
+rows (at least one virtual sample): all 16 σ samples of an amazon_lite
+group, or 20 small100 groups of 16 samples. A chunk's state costs
+``3·I + 48`` bytes a user row (``adopted``, ``adopt_t``, the 3 + 3
+meta-graph weightings) and a block's preference cache ``8·I`` more, so
+a full chunk holds ~19 MB on amazon_lite (``I = 48``) and ~31 MB on
+gowalla_lite (``I = 80``); the per-event ``[events, I]`` arrays and the
+preference rows are formed ``CHUNK_ROWS`` at a time (~2 MB on
+amazon_lite), which bounds the rest. No size changes a result: every
+draw is keyed by the global sample index and never by the group, each
+row's state is its own, and the kernels give the same bits for any
+batch (DESIGN.md §2, "Exactness of the batched engine"). The trial
+keys are folded in stages: ``(seed, TAG_TRIAL, salt, sample)`` once per
+chunk, ``(t, ζ)`` once per step, ``(u', u, x)`` once per promotion
+event, and each trial continues its event's fold with its ``y``.
 
 ``frozen=True`` freezes ``P_pref``/``P_act``/``r^C`` at their initial
 (nothing-adopted) values and skips weight updates — this is the static
@@ -49,10 +57,10 @@ import numpy as np
 from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.dynamics import kernels
 from repro.dynamics.state import ModelData, WorldState, csr_ranges, init_state
-from repro.rng import fold, u01_from
+from repro.rng import fold, fold_from, u01_from
 
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
-BLOCK_ROWS = 2048  # user rows (samples × users) stepped together
+BLOCK_ROWS = 32768  # user rows (samples × users) stepped together
 CHUNK_ROWS = 1024  # events, or missing preference rows, per vectorized pass
 
 _EMPTY = np.empty(0, np.int64)
@@ -129,15 +137,17 @@ def _group_seeds(
 class _Block:
     """Virtual samples ``j = 0 … n−1`` of a chunk, as rows ``g = j·U + u``.
 
-    Virtual sample ``j`` is global sample ``samp[j]`` of the chunk's
-    seed group ``grp[j]``. ``adopted``/``wc``/``ws``/``adopt_t`` are
+    Virtual sample ``j`` is a global sample ``s`` of the chunk's seed
+    group ``grp[j]``; ``key[j]`` is its trial keys ``(seed, TAG_TRIAL,
+    salt, s)`` folded, which each step continues with ``(t, ζ)``.
+    ``adopted``/``wc``/``ws``/``adopt_t`` are
     ``[n·U, ·]`` views into the chunk's arrays. ``pref`` caches
     ``P_pref`` rows in dynamic mode; ``pref_ok`` marks the rows still
     current (a row goes stale when its user adopts or re-weights).
     """
 
-    samp: np.ndarray
     grp: np.ndarray
+    key: np.ndarray
     adopted: np.ndarray
     wc: np.ndarray
     ws: np.ndarray
@@ -148,7 +158,7 @@ class _Block:
 
     @property
     def n(self) -> int:
-        return len(self.samp)
+        return len(self.key)
 
 
 def simulate(
@@ -193,7 +203,8 @@ def simulate_groups(
     checked before any is simulated; a bad one raises ``ValueError``
     naming its index. The results come lazily, one chunk of groups at a
     time (:func:`_run_groups`), so a caller that keeps only σ holds the
-    state of one chunk, not of every group.
+    state of one chunk (at most ``BLOCK_ROWS`` user rows, or one group:
+    ~19 MB on amazon_lite, see the module docstring), not of every group.
     """
     by_ts = []
     for i, seeds in enumerate(groups):
@@ -224,7 +235,8 @@ def _run_chunk(model, by_ts, T, n_samples, frozen, salt, first_sample) -> list[S
     state = init_state(model, n)
     adopt_t = np.zeros((n, U, I), dtype=np.int16)
     seeds = _seed_table(by_ts, T)
-    samp = np.tile(np.arange(first_sample, first_sample + n_samples), len(by_ts))
+    samples = np.arange(first_sample, first_sample + n_samples)
+    key = np.tile(fold(model.seed, TAG_TRIAL, salt, samples), len(by_ts))
     grp = np.repeat(np.arange(len(by_ts)), n_samples)
 
     per_block = max(1, BLOCK_ROWS // U)
@@ -232,8 +244,8 @@ def _run_chunk(model, by_ts, T, n_samples, frozen, salt, first_sample) -> list[S
         j1 = min(j0 + per_block, n)
         rows = (j1 - j0) * U
         blk = _Block(
-            samp=samp[j0:j1],
             grp=grp[j0:j1],
+            key=key[j0:j1],
             adopted=state.adopted[j0:j1].reshape(rows, I),
             wc=state.wc[j0:j1].reshape(rows, -1),
             ws=state.ws[j0:j1].reshape(rows, -1),
@@ -242,7 +254,7 @@ def _run_chunk(model, by_ts, T, n_samples, frozen, salt, first_sample) -> list[S
             pref=np.empty((0, I) if frozen else (rows, I)),
             pref_ok=np.zeros(rows, dtype=bool),
         )
-        _run_block(model, blk, seeds, T, frozen, salt)
+        _run_block(model, blk, seeds, T, frozen)
 
     results = []
     for k in range(len(by_ts)):
@@ -272,7 +284,7 @@ def _seed_table(by_ts, T) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]
     return table
 
 
-def _run_block(model, blk, seeds, T, frozen, salt) -> None:
+def _run_block(model, blk, seeds, T, frozen) -> None:
     U = model.n_users
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
@@ -289,7 +301,7 @@ def _run_block(model, blk, seeds, T, frozen, salt) -> None:
         for zeta in range(1, model.params.max_steps + 1):
             if len(f_g) == 0:
                 break
-            f_g, f_x = _step(model, blk, f_g, f_x, t, zeta, frozen, salt)
+            f_g, f_x = _step(model, blk, f_g, f_x, t, zeta, frozen)
             _apply_adoptions(model, blk, f_g, f_x, t, frozen)
 
 
@@ -313,7 +325,7 @@ def _apply_adoptions(model, blk, g, x, t, frozen) -> None:
     )
 
 
-def _step(model, blk, f_g, f_x, t, zeta, frozen, salt):
+def _step(model, blk, f_g, f_x, t, zeta, frozen):
     """One propagation step of a block; returns the new frontier ``(g, x)``."""
     U, I = model.n_users, model.n_items
     # Expand frontier pairs over the out-edges of their users (CSR ranges).
@@ -331,8 +343,8 @@ def _step(model, blk, f_g, f_x, t, zeta, frozen, salt):
 
     if not frozen:
         _fill_pref(model, blk, np.unique(ev_gd))
-    # Keys (salt, sample, t, ζ, …) folded once per virtual sample of the block.
-    prefix = fold(model.seed, TAG_TRIAL, salt, blk.samp, t, zeta)
+    # Keys (…, sample, t, ζ) folded once per virtual sample of the block.
+    prefix = fold_from(blk.key, t, zeta)
     keys = [
         _trials(
             model, blk, prefix, e_idx[c:c + CHUNK_ROWS], ev_s[c:c + CHUNK_ROWS],
@@ -394,13 +406,12 @@ def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     er, ey = np.nonzero(p_ext > 0)
 
     # One draw per trial, keyed (salt, sample, t, ζ, u', u, x, y): the
-    # direct adoption of x (y = x) of every event, then the extra ones.
-    e = np.concatenate([np.arange(len(ev_x)), er])
-    y = np.concatenate([ev_x, ey])
-    hit = u01_from(prefix[ev_s[e]], src[e], dst[e], ev_x[e], y) < np.concatenate(
-        [p_promo, p_ext[er, ey]]
-    )
-    return ev_gd[e[hit]] * I + y[hit]
+    # event's keys up to x are folded once, then continued with y = x for
+    # the direct adoption and with each y of its extra trials.
+    h = fold_from(prefix[ev_s], src, dst, ev_x)
+    hit = u01_from(h, ev_x) < p_promo
+    ext = u01_from(h[er], ey) < p_ext[er, ey]
+    return np.concatenate([ev_gd[hit] * I + ev_x[hit], ev_gd[er[ext]] * I + ey[ext]])
 
 
 def likelihood_pi(model: ModelData, state: WorldState) -> float:

@@ -1,4 +1,5 @@
 """Tests for the experiment harness (repro.experiments.harness)."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -109,6 +110,22 @@ class TestTables:
     def test_t8_metagraph_counts(self, runner):
         rows = H.table_t8_metagraphs(runner, sizes=((1, 1),), b=10, T=2)
         assert rows[0]["n_metagraphs"] == 2
+
+    def test_t8_full_library_row_reads_the_cached_cell(self, runner, monkeypatch):
+        """The (3, 3) row is the amazon_lite Dysim cell: no planning or σ again."""
+        cell = runner.run("amazon_lite", "dysim", 10, 2)
+        full = runner.dataset("amazon_lite").model
+        sliced = dataclasses.replace(full, s_c=full.s_c[:3], s_s=full.s_s[:3])
+        assert H.dysim(sliced, 10, 2, max_pairs=runner.max_pairs).seeds == cell.seeds
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("the full-library row ran the engine again")
+
+        monkeypatch.setattr(H, "dysim", no_call)
+        monkeypatch.setattr(H, "simulate", no_call)
+        rows = H.table_t8_metagraphs(runner, sizes=((3, 3),), b=10, T=2)
+        assert rows == [{"n_metagraphs": 6, "dysim": round(cell.sigma, 1),
+                         "seconds": round(cell.seconds, 2)}]
 
     def test_t9_theta_param_threads_through(self, runner):
         rows = H.table_t9_theta(runner, thetas=(3,), b=10, T=2)

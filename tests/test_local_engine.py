@@ -251,6 +251,16 @@ _SEED_GROUPS = {
 }
 
 
+# The amazon_lite flagship cell's seeds (Dysim, b=60, T=10) and its σ at
+# M=16, as the committed table_results.md has them.
+_FLAGSHIP_SEEDS = [
+    (299, 9, 1), (1740, 0, 1), (299, 0, 2), (919, 0, 2), (199, 0, 3),
+    (201, 0, 3), (733, 0, 4), (1228, 0, 5), (258, 0, 5), (744, 0, 5),
+    (186, 0, 5), (1070, 0, 6), (1740, 9, 7), (201, 9, 7), (258, 14, 8),
+    (733, 23, 8), (745, 23, 8),
+]
+
+
 def _case(request, preset):
     model = request.getfixturevalue("small" if preset == "small100" else "amazon")
     return model, _SEED_GROUPS[preset]
@@ -305,6 +315,16 @@ class TestSampleBatchingExact:
         assert np.array_equal(part.state.wc, full.state.wc[lo:hi])
         assert np.array_equal(part.state.ws, full.state.ws[lo:hi])
         assert part.adopt_t.any()
+
+    def test_flagship_block_equals_one_sample_blocks(self, amazon, monkeypatch):
+        """The flagship group's 16 samples, stepped as one block or one by one."""
+        assert local_engine.BLOCK_ROWS >= 16 * amazon.n_users  # one block by default
+        got = simulate(amazon, _FLAGSHIP_SEEDS, T=10, n_samples=16)
+        monkeypatch.setattr(local_engine, "BLOCK_ROWS", amazon.n_users)
+        want = simulate(amazon, _FLAGSHIP_SEEDS, T=10, n_samples=16)
+        assert _same_run(got, want)
+        assert got.sigma == want.sigma == 596.683551567824
+        assert np.array_equal(got.sigma_by_t, want.sigma_by_t)
 
     def test_negative_offset_rejected(self, small):
         with pytest.raises(ValueError, match="first_sample"):

@@ -72,6 +72,30 @@ class TestKeyForms:
             u01_from(pre[:, None], a[None, :]), u01(9, 21, 0, a[:, None], 2, 1, a[None, :])
         )
 
+    def test_event_fold_continued_by_each_item(self):
+        """The engine's trial keys: a block prefix, then (t, ζ), then (u', u, x), then y."""
+        seed, tag, salt, t, zeta = 2**63 + 5, 21, 3, 4, 2
+        samp = np.array([0, 7, 3], dtype=np.int64)
+        prefix = fold_from(fold(seed, tag, salt, samp), t, zeta)
+        # Events gather the prefixes of their samples; events 1 and 4 are equal.
+        ev_s = np.array([0, 2, 2, 1, 2, 0])
+        src = np.array([5, 1, 9, 5, 1, 0], dtype=np.int64)
+        dst = np.array([6, 4, 4, 2, 4, 3], dtype=np.int64)
+        x = np.array([0, 3, 3, 1, 3, 2], dtype=np.int64)
+        h = fold_from(prefix[ev_s], src, dst, x)
+        e = np.array([0, 0, 1, 1, 4, 3, 5, 5, 5])  # several trials per event
+        y = np.array([1, 4, 0, 2, 0, 0, 0, 1, 3], dtype=np.int64)
+        for ev, ys in ((np.arange(len(x)), x), (e, y)):
+            got = u01_from(h[ev], ys)
+            want = u01(seed, tag, salt, samp[ev_s[ev]], t, zeta, src[ev], dst[ev], x[ev], ys)
+            assert np.array_equal(got, want)
+            for k in range(len(ev)):
+                assert got[k] == u01(
+                    seed, tag, salt, int(samp[ev_s[ev[k]]]), t, zeta,
+                    int(src[ev[k]]), int(dst[ev[k]]), int(x[ev[k]]), int(ys[k]),
+                )
+        assert got[4] == u01_from(h[1], 0) and h[1] == h[4]
+
     @pytest.mark.parametrize("key", [-1, np.int64(-3), 2**64])
     def test_out_of_range_key_raises(self, key):
         with pytest.raises(ValueError):
