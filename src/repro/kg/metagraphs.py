@@ -11,21 +11,30 @@ mid nodes, and the relevance is the max-normalized count:
     s(x, y | m) = count(x, y | m) / max_{x', y'} count(x', y' | m) ∈ [0, 1]
 
 (following SCSE [Huang et al., KDD'16], which correlates relevance with
-instance counts). Counting is implemented twice with one semantics:
+instance counts). For a single-leg meta-graph the count is PathSim's
+commuting matrix ``A·Aᵀ`` of the ITEM × mid incidence matrix ``A``
+[Sun et al., VLDB'11]; a multi-leg one is the element-wise product of
+its legs' matrices. Counting is implemented twice with one semantics,
+each in one pass over the KG's leg edges:
 
-* :func:`relevance_table_spark` — DataFrame joins, for KGs too large
-  for one process (tested and benchmarked; the pipeline does not call
-  it);
-* :func:`relevance_table_pandas` — pandas merges, the path
-  :func:`repro.data.datasets.make_dataset` counts with; tests assert
-  both agree and the Spark path is additionally DuckDB-oracled.
+* :func:`relevance_table_spark` — one lazy DataFrame plan (a single
+  self-join of the leg edges on ``(etype, dst)``, one count column per
+  leg type, a window max per meta-graph) that runs no job and persists
+  nothing until the caller's action; for KGs too large for one process
+  (tested and benchmarked; the pipeline does not call it);
+* :func:`relevance_table_pandas` — dense int64 incidence products per
+  leg type with numpy, the path :func:`repro.data.datasets.make_dataset`
+  counts with; tests assert both agree and both equal a DuckDB oracle
+  of the whole table.
 
-pyspark is imported inside the Spark functions only, so the local
+pyspark is imported inside the Spark function only, so the local
 planning path never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,22 +79,9 @@ DEFAULT_METAGRAPHS = [
 ]
 
 
-def _leg_counts_spark(kg_edges: DataFrame, etype: str) -> DataFrame:
-    """Pairs ``(x, y, cnt)`` with ``cnt`` common mid nodes via ``etype``.
-
-    Unordered pairs are emitted once with ``x < y`` (relevance is
-    symmetric; the diagonal is excluded).
-    """
-    from pyspark.sql import functions as F
-
-    e = kg_edges.filter(F.col("etype") == etype).select("src", "dst")
-    a = e.alias("a")
-    b = e.alias("b")
-    return (
-        a.join(b, on=(F.col("a.dst") == F.col("b.dst")) & (F.col("a.src") < F.col("b.src")))
-        .groupBy(F.col("a.src").alias("x"), F.col("b.src").alias("y"))
-        .agg(F.count(F.lit(1)).alias("cnt"))
-    )
+def _meta_index(metas: list[MetaGraph], mg: MetaGraph) -> int:
+    """Index of ``mg`` within its kind (the weight vectors' layout)."""
+    return [m for m in metas if m.kind == mg.kind].index(mg)
 
 
 def relevance_table_spark(
@@ -96,85 +92,91 @@ def relevance_table_spark(
     Only nonzero, ``x < y`` pairs are materialized; ``meta`` is the
     index of the meta-graph *within its kind* (matching the weight
     vectors' layout).
+
+    One lazy plan, no action and nothing persisted: the leg edges are
+    self-joined once on ``(etype, dst)`` and grouped by ``(x, y)`` with
+    one count column per leg type; each meta-graph's count is the
+    product of its legs' columns, the meta-graphs are stacked by
+    ``explode`` and ``s`` is normalized by a window max per
+    ``(kind, meta)``. ``spark`` is unused: the plan lives in
+    ``kg_edges``' session.
     """
+    from pyspark.sql import Window
     from pyspark.sql import functions as F
 
     metas = metas if metas is not None else DEFAULT_METAGRAPHS
-    parts: list[DataFrame] = []
-    leg_cache: dict[str, DataFrame] = {}
-    for mg in metas:
-        idx = [m for m in metas if m.kind == mg.kind].index(mg)
-        cur: DataFrame | None = None
-        for leg in mg.legs:
-            if leg not in leg_cache:
-                leg_cache[leg] = _leg_counts_spark(kg_edges, leg).cache()
-            lc = leg_cache[leg].withColumnRenamed("cnt", "leg_cnt")
-            if cur is None:
-                cur = lc.withColumnRenamed("leg_cnt", "cnt")
-            else:
-                cur = cur.join(lc, on=["x", "y"]).withColumn(
-                    "cnt", F.col("cnt") * F.col("leg_cnt")
-                ).drop("leg_cnt")
-        assert cur is not None
-        mx = cur.agg(F.max("cnt")).collect()[0][0]
-        if mx is None:  # no instances of this meta-graph at all
-            continue
-        parts.append(
-            cur.select(
-                F.lit(mg.kind).alias("kind"),
-                F.lit(idx).alias("meta"),
-                "x",
-                "y",
-                (F.col("cnt").cast("double") / F.lit(float(mx))).alias("s"),
-            )
+    legs = sorted({leg for mg in metas for leg in mg.legs})
+    e = kg_edges.filter(F.col("etype").isin(legs)).select("src", "etype", "dst")
+    a = e.alias("a")
+    b = e.alias("b")
+    pairs = a.join(
+        b,
+        on=(F.col("a.etype") == F.col("b.etype"))
+        & (F.col("a.dst") == F.col("b.dst"))
+        & (F.col("a.src") < F.col("b.src")),
+    ).groupBy(F.col("a.src").alias("x"), F.col("b.src").alias("y")).agg(
+        *(F.count(F.when(F.col("a.etype") == leg, 1)).alias(leg) for leg in legs)
+    )
+    stacked = F.array(*(
+        F.struct(
+            F.lit(mg.kind).alias("kind"),
+            F.lit(_meta_index(metas, mg)).alias("meta"),
+            reduce(mul, (F.col(leg) for leg in mg.legs)).alias("cnt"),
         )
-    if not parts:
-        return spark.createDataFrame(
-            [], "kind string, meta bigint, x bigint, y bigint, s double"
-        )
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out
-
-
-def _leg_counts_pandas(kg_edges: pd.DataFrame, etype: str) -> pd.DataFrame:
-    e = kg_edges.loc[kg_edges["etype"] == etype, ["src", "dst"]]
-    m = e.merge(e, on="dst", suffixes=("_a", "_b"))
-    m = m[m["src_a"] < m["src_b"]]
-    return (
-        m.groupby(["src_a", "src_b"], as_index=False)
-        .size()
-        .rename(columns={"src_a": "x", "src_b": "y", "size": "cnt"})
+        for mg in metas
+    ))
+    rows = (
+        pairs.select("x", "y", F.explode(stacked).alias("r"))
+        .select("r.kind", "r.meta", "x", "y", "r.cnt")
+        .filter(F.col("cnt") > 0)
+    )
+    top = F.max("cnt").over(Window.partitionBy("kind", "meta"))
+    return rows.select(
+        "kind", "meta", "x", "y",
+        (F.col("cnt").cast("double") / top.cast("double")).alias("s"),
     )
 
 
 def relevance_table_pandas(
     kg_edges: pd.DataFrame, metas: list[MetaGraph] | None = None
 ) -> pd.DataFrame:
-    """Pandas mirror of :func:`relevance_table_spark` (same rows)."""
+    """Local mirror of :func:`relevance_table_spark` (same rows), sorted.
+
+    Counts with integer incidence matrices: per leg type an
+    ``items × mids`` matrix (a duplicated edge counts with its
+    multiplicity), the leg's pair counts ``inc @ inc.T`` in int64 (exact,
+    no BLAS) and a multi-leg meta-graph's counts as the element-wise
+    product of its legs'. The count matrices are dense ``[I, I]`` per leg
+    type, ``I`` the items on leg edges; KGs too large for that are the
+    Spark path's.
+    """
     metas = metas if metas is not None else DEFAULT_METAGRAPHS
+    legs = sorted({leg for mg in metas for leg in mg.legs})
+    e = kg_edges[kg_edges["etype"].isin(legs)]
+    items, row = np.unique(e["src"].to_numpy(), return_inverse=True)
+    etype = e["etype"].to_numpy()
+    dst = e["dst"].to_numpy()
+    leg_cnt: dict[str, np.ndarray] = {}
+    for leg in legs:
+        on = etype == leg
+        mids, col = np.unique(dst[on], return_inverse=True)
+        inc = np.zeros((len(items), len(mids)), dtype=np.int64)
+        np.add.at(inc, (row[on], col), 1)
+        leg_cnt[leg] = inc @ inc.T
     parts = []
-    leg_cache: dict[str, pd.DataFrame] = {}
     for mg in metas:
-        idx = [m for m in metas if m.kind == mg.kind].index(mg)
-        cur: pd.DataFrame | None = None
-        for leg in mg.legs:
-            if leg not in leg_cache:
-                leg_cache[leg] = _leg_counts_pandas(kg_edges, leg)
-            lc = leg_cache[leg].rename(columns={"cnt": "leg_cnt"})
-            if cur is None:
-                cur = lc.rename(columns={"leg_cnt": "cnt"})
-            else:
-                cur = cur.merge(lc, on=["x", "y"])
-                cur["cnt"] = cur["cnt"] * cur["leg_cnt"]
-                cur = cur.drop(columns=["leg_cnt"])
-        assert cur is not None
-        if len(cur) == 0:
+        cnt = reduce(mul, (leg_cnt[leg] for leg in mg.legs))
+        x, y = np.nonzero(np.triu(cnt, 1))
+        if len(x) == 0:  # no instances of this meta-graph at all
             continue
-        mx = float(cur["cnt"].max())
-        part = cur.assign(kind=mg.kind, meta=idx, s=cur["cnt"].astype(float) / mx)
-        parts.append(part[["kind", "meta", "x", "y", "s"]])
+        c = cnt[x, y]
+        parts.append(pd.DataFrame({
+            "kind": mg.kind,
+            "meta": _meta_index(metas, mg),
+            "x": items[x],
+            "y": items[y],
+            "s": c.astype(float) / float(c.max()),
+        }))
     if not parts:
         return pd.DataFrame(columns=["kind", "meta", "x", "y", "s"])
     out = pd.concat(parts, ignore_index=True)

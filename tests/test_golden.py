@@ -9,7 +9,10 @@ benchmark's golden values, which are those behind the committed
 printed there as 3.98), is the harness ``Runner``'s cell before the
 engine learned to run many seed groups per call; HAG and BundleGRD at
 b=12, T=5 (T1's last row) are the ``Runner``'s cells before the planners
-shared one seed-group evaluator. σ is the local engine's at trial salt
+shared one seed-group evaluator. The flagship plan and the yelp_lite
+T3 cells at b=25, T=10 are the program's output as of the commit that
+replaced the meta-graph counting, checked against ``table_results.md``
+(σ printed there as 65.3, 38.6, 66.4 and 43.1). σ is the local engine's at trial salt
 0 and is compared with ``==``: a change that moves a float reduction
 order or a CELF tie-break fails here, not only in a paper table.
 """
@@ -57,6 +60,28 @@ FLAGSHIP_SEEDS = [
     (733, 23, 8), (745, 23, 8),
 ]
 FLAGSHIP_SIGMA_M2 = 254.36969022233473
+
+# method -> (seed list, σ at M=16, σ as T3 prints it), yelp_lite b=25 T=10.
+YELP_T3_B25 = {
+    "dysim": ([(769, 23, 1), (730, 0, 1), (730, 23, 3), (769, 9, 3)], 65.30753574687068, 65.3),
+    "bundlegrd": (
+        [(397, 0, 9), (397, 14, 9), (397, 9, 9), (397, 23, 9),
+         (80, 0, 1), (80, 14, 1), (80, 9, 1), (80, 23, 1)],
+        38.61211116366583,
+        38.6,
+    ),
+    "hag": (
+        [(656, 23, 9), (397, 23, 7), (271, 0, 5), (730, 23, 3), (730, 0, 7), (405, 9, 9)],
+        66.38332036452834,
+        66.4,
+    ),
+    "ps": (
+        [(730, 0, 7), (499, 0, 3), (254, 0, 5), (656, 0, 9),
+         (769, 0, 1), (426, 0, 7), (801, 0, 3), (65, 0, 7)],
+        43.11002686438972,
+        43.1,
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +131,30 @@ def test_opt_b4_t5(small):
     assert round(sigma, 2) == 3.98  # table_results.md, T1, b=4
 
 
-def test_flagship_seed_group_sigma():
-    model = make_dataset("amazon_lite", seed=7).model
-    assert simulate(model, FLAGSHIP_SEEDS, 10, 2).sigma == FLAGSHIP_SIGMA_M2
+@pytest.fixture(scope="module")
+def amazon():
+    return make_dataset("amazon_lite", seed=7).model
+
+
+def test_flagship_seed_group_sigma(amazon):
+    assert simulate(amazon, FLAGSHIP_SEEDS, 10, 2).sigma == FLAGSHIP_SIGMA_M2
+
+
+def test_flagship_plan(amazon):
+    seeds = [tuple(int(v) for v in s) for s in _plan("dysim", amazon, 60, 10)]
+    assert seeds == FLAGSHIP_SEEDS
+
+
+@pytest.fixture(scope="module")
+def yelp():
+    return make_dataset("yelp_lite", seed=7).model
+
+
+@pytest.mark.parametrize("method", sorted(YELP_T3_B25))
+def test_yelp_t3_b25(yelp, method):
+    seeds = [tuple(int(v) for v in s) for s in _plan(method, yelp, 25, 10)]
+    want_seeds, want_sigma, printed = YELP_T3_B25[method]
+    assert seeds == want_seeds
+    sigma = simulate(yelp, seeds, 10, M_EVAL).sigma
+    assert sigma == want_sigma
+    assert round(sigma, 1) == printed  # table_results.md, T3, yelp_lite b=25

@@ -84,6 +84,24 @@ class TestPandasCounting:
         tab = relevance_table_pandas(kg_pdf(20, seed=2))
         assert (tab["s"] > 0).all() and (tab["s"] <= 1).all()
 
+    def test_duplicate_edge_counts_with_multiplicity(self):
+        # Item 0 now supports feature 0 twice: (0,1) has 2 + 1 = 3
+        # instances of mC1, (0,2) has 2 and (1,2) still 1.
+        kg = hand_kg()
+        tab = relevance_table_pandas(pd.concat([kg, kg.iloc[:1]], ignore_index=True))
+        mc1 = tab[(tab["kind"] == COMP) & (tab["meta"] == 0)]
+        vals = {(r.x, r.y): r.s for r in mc1.itertuples()}
+        assert vals == {(0, 1): 1.0, (0, 2): 2 / 3, (1, 2): 1 / 3}
+
+    def test_missing_leg_type_drops_only_its_metas(self):
+        kg = kg_pdf(20, seed=2)
+        full = relevance_table_pandas(kg)
+        tab = relevance_table_pandas(kg[kg["etype"] != "IN_TIER"])
+        ms2 = (full["kind"] == SUBS) & (full["meta"] == 1)
+        assert ms2.any()
+        assert not ((tab["kind"] == SUBS) & (tab["meta"] == 1)).any()
+        assert tab.equals(full[~ms2].reset_index(drop=True))
+
     def test_custom_meta_list(self):
         metas = [MetaGraph("only_brand", COMP, ("MADE_BY",))]
         tab = relevance_table_pandas(hand_kg(), metas)
