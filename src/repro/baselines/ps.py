@@ -24,7 +24,7 @@ from repro.baselines.cr_greedy import cr_greedy_timings
 from repro.core.nominees import candidate_users
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
-from repro.graph.local import mioa_reach
+from repro.graph.local import mioa_reach_many
 
 
 def ps(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
@@ -34,8 +34,9 @@ def ps(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
     mean_pref = model.pref0.mean(axis=0)  # [I]
 
     # Maximum-influence-path probabilities from every candidate user
-    # (the expensive search the paper attributes PS's run time to).
-    reach = {u: mioa_reach(model, [u]) for u in cand_users}
+    # (the expensive search the paper attributes PS's run time to), one
+    # search for all of them.
+    reach = dict(zip(cand_users, mioa_reach_many(model, [[u] for u in cand_users])))
     cov = np.zeros((model.n_users, model.n_items))  # cov_x(v)
 
     selected: list[tuple[int, int]] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dynamics.state import ModelData, init_state
-from repro.graph.local import bfs_hops, diameter, mioa_reach
+from repro.graph.local import bfs_hops, diameter, mioa_reach_many
 from repro.kg.relevance import average_relevance
 
 
@@ -63,25 +63,32 @@ def initial_average_relevance(model: ModelData) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def influence_region(model: ModelData, sources) -> np.ndarray:
-    """Sorted users of the sources' MIOA influence region, sources included.
+def influence_regions(model: ModelData, source_sets) -> list[np.ndarray]:
+    """Sorted users of each source set's MIOA influence region, sources included.
 
-    A user belongs to the region when its best path probability from
-    the sources is ≥ ``theta_mioa`` on the initial influence strengths
-    (MIOA, Chen, Wang & Wang, KDD'10). Above ``market_cap`` members,
-    only the most reachable are kept (ties by user id); planning cost is
-    bounded by the region size, while the final σ evaluation still uses
-    the full network. Sources are sorted and deduplicated before the
-    search, so their order does not matter.
+    A user belongs to a region when its best path probability from the
+    set's sources is ≥ ``theta_mioa`` on the initial influence strengths
+    (MIOA, Chen, Wang & Wang, KDD'10); every set is one row of one
+    :func:`~repro.graph.local.mioa_reach_many` search. Above
+    ``market_cap`` members, only the most reachable are kept (ties by
+    user id); planning cost is bounded by the region size, while the
+    final σ evaluation still uses the full network. The order of a
+    set's sources does not matter.
     """
-    p = model.params
-    srcs = np.unique(np.asarray(sources, dtype=np.int64))
-    reach = mioa_reach(model, srcs.tolist())
-    users = np.flatnonzero(reach > 0)
-    if len(users) > p.market_cap:
-        top = users[np.argsort(-reach[users], kind="stable")[: p.market_cap]]
-        users = np.sort(top)
-    return np.union1d(users, srcs)
+    cap = model.params.market_cap
+    srcs = [np.unique(np.asarray(s, dtype=np.int64)) for s in source_sets]
+    regions = []
+    for reach, ss in zip(mioa_reach_many(model, srcs), srcs):
+        users = np.flatnonzero(reach > 0)
+        if len(users) > cap:
+            users = np.sort(users[np.argsort(-reach[users], kind="stable")[:cap]])
+        regions.append(np.union1d(users, ss))
+    return regions
+
+
+def influence_region(model: ModelData, sources) -> np.ndarray:
+    """:func:`influence_regions` of one source set."""
+    return influence_regions(model, [sources])[0]
 
 
 def identify_target_markets(
@@ -94,9 +101,10 @@ def identify_target_markets(
 
     Two nominees are linked when their users are within ``link_hops``
     (undirected social distance) *and* their items are complementary on
-    balance (``r̄^C − r̄^S ≥ 0``, or the same item). The market's users
-    are the :func:`influence_region` of the cluster's nominee users;
-    its diameter is measured on the market's submodel.
+    balance (``r̄^C − r̄^S ≥ 0``, or the same item). A market's users are
+    the influence region of its cluster's nominee users (one
+    :func:`influence_regions` search for all clusters); its diameter is
+    measured on the market's submodel.
     """
     if not nominees:
         return []
@@ -133,10 +141,10 @@ def identify_target_markets(
             leaders.append(i)
             clusters[i] = [i]
 
+    members = [[nominees[i] for i in clusters[root]] for root in sorted(clusters)]
+    regions = influence_regions(model, [[u for u, _ in mem] for mem in members])
     markets = []
-    for root in sorted(clusters):
-        mem = [nominees[i] for i in clusters[root]]
-        users = influence_region(model, [u for u, _ in mem])
+    for mem, users in zip(members, regions):
         sub = model.subgraph(users)
         markets.append(
             TargetMarket(nominees=mem, users=users, diameter=diameter(sub), submodel=sub)

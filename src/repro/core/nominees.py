@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from repro.core.clustering import influence_region
-from repro.core.tdsi import MarketEvaluator
+from repro.core.clustering import influence_regions
+from repro.core.tdsi import MarketEvaluator, marginals_many
 from repro.dynamics.state import ModelData
 
 
@@ -112,37 +112,41 @@ def select_nominees(
     the importance-aware influence of one promotion. ``frozen`` selects
     the dynamics-blind objective (for the baselines).
 
-    A candidate's marginal is :meth:`MarketEvaluator.marginals` of the
-    selected nominees, one request per evaluator. ``scope="local"``
-    (Dysim's mode) uses one evaluator per candidate user, on the
-    submodel induced by the user's MIOA influence region (``base`` is
-    the selected nominees inside it) — a bounded-cost approximation of
-    the full marginal that keeps TMI fast regardless of budget (the
-    paper credits TMI's speed for Fig. 6(d)). ``scope="full"`` uses one
-    evaluator on the full model, so the marginals are exact (used by
-    the HAG baseline, whose cost then grows with the number of selected
-    seeds, as the paper observes).
+    A candidate's marginal is its evaluator's marginal over the selected
+    nominees, and the candidates of one ``gains`` call are one
+    :func:`~repro.core.tdsi.marginals_many` request (one engine call).
+    ``scope="local"`` (Dysim's mode) uses one evaluator per candidate
+    user, on the submodel induced by the user's MIOA influence region
+    (``base`` is the selected nominees inside it; the regions of the
+    users first met in a call are one search) — a bounded-cost
+    approximation of the full marginal that keeps TMI fast regardless of
+    budget (the paper credits TMI's speed for Fig. 6(d)). ``scope="full"``
+    uses one evaluator on the full model, so the marginals are exact
+    (used by the HAG baseline, whose cost then grows with the number of
+    selected seeds, as the paper observes). Any other ``scope`` raises
+    ``ValueError``.
     """
+    if scope not in ("local", "full"):
+        raise ValueError(f"scope must be 'local' or 'full', got {scope!r}")
     p = model.params
     selected: list[tuple[int, int]] = []
-    evaluators: dict[int | None, MarketEvaluator] = {}
+    full = MarketEvaluator(model, 1, p.mc_plan, frozen=frozen) if scope == "full" else None
+    local: dict[int, MarketEvaluator] = {}
 
-    def evaluator(u: int) -> MarketEvaluator:
-        key = u if scope == "local" else None
-        if key not in evaluators:
-            sm = model if key is None else model.subgraph(influence_region(model, [u]))
-            evaluators[key] = MarketEvaluator(sm, 1, p.mc_plan, frozen=frozen)
-        return evaluators[key]
+    def evaluators(users: list[int]) -> list[MarketEvaluator]:
+        if full is not None:
+            return [full] * len(users)
+        new = [u for u in dict.fromkeys(users) if u not in local]
+        if new:
+            for u, region in zip(new, influence_regions(model, [[u] for u in new])):
+                local[u] = MarketEvaluator(model.subgraph(region), 1, p.mc_plan, frozen=frozen)
+        return [local[u] for u in users]
 
     def gains(pairs: list[tuple[int, int]]) -> list[float]:
         base = [(u, x, 1) for u, x in selected]
-        by_ev: dict[MarketEvaluator, list[tuple[int, int]]] = {}
-        for pair in pairs:
-            by_ev.setdefault(evaluator(pair[0]), []).append(pair)
-        out: dict[tuple[int, int], float] = {}
-        for ev, ev_pairs in by_ev.items():
-            out.update(zip(ev_pairs, ev.marginals(base, [[(u, x, 1)] for u, x in ev_pairs])))
-        return [out[pair] for pair in pairs]
+        evs = evaluators([u for u, _ in pairs])
+        requests = [(ev, base, [[(u, x, 1)]]) for ev, (u, x) in zip(evs, pairs)]
+        return [g for (g,) in marginals_many(requests)]
 
     pool = candidate_pool(model, max_pairs=max_pairs)
     for pair in lazy_greedy(pool, gains, cost=lambda c: float(model.cost[c]), budget=budget):

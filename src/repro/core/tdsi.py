@@ -25,13 +25,16 @@ class MarketEvaluator:
     """σ (and π, r̄) of seed groups on one (sub)model, each group simulated once.
 
     The seed-group evaluator of TMI, BundleGRD, CR-Greedy and TDSI/DRE;
-    :meth:`marginals` is the one marginal-gain request of the greedy ones.
+    :func:`marginals_many` (:meth:`marginals` is its one-evaluator case)
+    is the one marginal-gain request of the greedy ones.
     Seeds are given in *global* user ids and silently dropped if their
     user lies outside the submodel (they cannot contribute adoptions
     inside it when the diffusion is restricted to it, by construction);
     a group is keyed by its localized, sorted seeds. A request simulates
-    its missing groups in one :func:`simulate_groups` call; a σ-only
-    request (:meth:`sigmas`) computes no π and simulates no empty group.
+    its missing groups in one :func:`simulate_groups` call, and
+    :func:`marginals_many` does so for the requests of several
+    evaluators at once; a σ-only request (:meth:`sigmas`) computes no π
+    and simulates no empty group.
     ``frozen`` selects the dynamics-blind diffusion.
     """
 
@@ -58,32 +61,15 @@ class MarketEvaluator:
 
     def _request(self, groups, with_pi: bool) -> list[tuple]:
         """The groups' keys; the missing groups are simulated in one engine call."""
-        keys = [self._localize(g) for g in groups]
-        cache = self._after if with_pi else self._sigma
-        missing = list(dict.fromkeys(k for k in keys if k not in cache))
-        if missing:
-            runs = simulate_groups(
-                self.submodel, missing, self.T, self.n_samples, frozen=self.frozen
-            )
-            for key, res in zip(missing, runs):
-                self._sigma[key] = res.sigma
-                if with_pi:
-                    self._after[key] = (
-                        likelihood_pi(self.submodel, res.state),
-                        mean_weights(res.state.wc),
-                        mean_weights(res.state.ws),
-                    )
-        return keys
+        return _request([(self, groups)], with_pi)[0]
 
     def sigmas(self, groups) -> list[float]:
         """σ of each seed group; computes no π."""
         return [self._sigma[k] for k in self._request(groups, False)]
 
     def marginals(self, base, extensions) -> list[float]:
-        """``σ(base + e) − σ(base)`` for each extension ``e``, in one σ-only request."""
-        base = list(base)
-        sigma0, *sigmas = self.sigmas([base] + [base + list(e) for e in extensions])
-        return [s - sigma0 for s in sigmas]
+        """``σ(base + e) − σ(base)`` for each extension ``e``, in one request."""
+        return marginals_many([(self, base, extensions)])[0]
 
     def sigma_pis(self, groups) -> list[tuple[float, float]]:
         """``(σ^τ, π^τ)`` of each seed group, each read through :meth:`sigma_pi`."""
@@ -101,6 +87,58 @@ class MarketEvaluator:
         _, wc_bar, ws_bar = self._after[key]
         sm = self.submodel
         return personal_relevance(wc_bar, sm.s_c), personal_relevance(ws_bar, sm.s_s)
+
+
+def _request(requests, with_pi: bool) -> list[list[tuple]]:
+    """The keys of each ``(evaluator, groups)`` request, in order.
+
+    The groups missing from their evaluator's cache are simulated in one
+    :func:`simulate_groups` call over the evaluators' submodels, so the
+    evaluators must share ``T``, ``n_samples`` and ``frozen``
+    (``ValueError`` otherwise). A σ-only request computes no π.
+    """
+    settings = {(ev.T, ev.n_samples, ev.frozen) for ev, _ in requests}
+    if len(settings) > 1:
+        raise ValueError("evaluators of one request must share T, n_samples and frozen")
+    keys = [[ev._localize(g) for g in groups] for ev, groups in requests]
+    missing: dict[tuple[MarketEvaluator, tuple], None] = {}
+    for (ev, _), ev_keys in zip(requests, keys):
+        cache = ev._after if with_pi else ev._sigma
+        missing.update(((ev, k), None) for k in ev_keys if k not in cache)
+    if not missing:
+        return keys
+    ((T, n_samples, frozen),) = settings
+    runs = simulate_groups(
+        [ev.submodel for ev, _ in missing], [k for _, k in missing], T, n_samples,
+        frozen=frozen,
+    )
+    for (ev, key), res in zip(missing, runs):
+        ev._sigma[key] = res.sigma
+        if with_pi:
+            ev._after[key] = (
+                likelihood_pi(ev.submodel, res.state),
+                mean_weights(res.state.wc),
+                mean_weights(res.state.ws),
+            )
+    return keys
+
+
+def marginals_many(requests) -> list[list[float]]:
+    """``σ(base + e) − σ(base)`` per ``(evaluator, base, extensions)`` request.
+
+    The one marginal-gain request of the greedy planners: every
+    request's groups are one σ-only request, so the missing groups of all
+    the evaluators are simulated in one engine call (:func:`_request`).
+    """
+    requests = [(ev, list(base), [list(e) for e in exts]) for ev, base, exts in requests]
+    keys = _request(
+        [(ev, [base] + [base + e for e in exts]) for ev, base, exts in requests], False
+    )
+    out = []
+    for (ev, _, _), (key0, *ext_keys) in zip(requests, keys):
+        sigma0 = ev._sigma[key0]
+        out.append([ev._sigma[k] - sigma0 for k in ext_keys])
+    return out
 
 
 def substantial_influence(

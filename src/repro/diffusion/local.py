@@ -21,24 +21,30 @@ local and Spark engines) that see the same ``(model.seed, sample, t,
 estimates get common random numbers for free.
 
 Samples are independent, and so are seed groups: :func:`simulate_groups`
-runs many groups in one pass, and :func:`simulate` is its one-group
-case. The groups are taken in chunks of at most ``BLOCK_ROWS`` user
-rows (at least one group); a chunk's (group, sample) pairs are its
-*virtual samples*, stepped in blocks: ``adopted`` of a block is viewed
-as ``[n·U, I]`` and a frontier pair is a row ``g = j·U + u`` (``j``
-block-local) and an item. A block holds at most ``BLOCK_ROWS`` user
-rows (at least one virtual sample): all 16 σ samples of an amazon_lite
-group, or 20 small100 groups of 16 samples. A chunk's state costs
-``3·I + 48`` bytes a user row (``adopted``, ``adopt_t``, the 3 + 3
-meta-graph weightings) and a block's preference cache ``8·I`` more, so
-a full chunk holds ~19 MB on amazon_lite (``I = 48``) and ~31 MB on
-gowalla_lite (``I = 80``); the per-event ``[events, I]`` arrays and the
-preference rows are formed ``CHUNK_ROWS`` at a time (~2 MB on
-amazon_lite), which bounds the rest. No size changes a result: every
-draw is keyed by the global sample index and never by the group, each
-row's state is its own, and the kernels give the same bits for any
-batch (DESIGN.md §2, "Exactness of the batched engine"). The trial
-keys are folded in stages: ``(seed, TAG_TRIAL, salt, sample)`` once per
+runs many groups in one pass, each on its own model or all on one, and
+:func:`simulate` is its one-group case. The models of one call are
+subgraphs of one instance (TMI scores every candidate on its own
+influence region in one call); their distinct members are *stacked*:
+their users, edges and initial values concatenated once per call, the
+relevance tensors and parameters shared. The groups are taken in chunks
+of at most ``BLOCK_ROWS`` user rows (at least one group); a chunk's
+(group, sample) pairs are its *virtual samples*, stepped in blocks of
+ragged rows: virtual sample ``j`` owns one row per user of its group's
+model, ``start[j] + u`` for local user ``u``, and a frontier pair is a
+row and an item. A block holds at most ``BLOCK_ROWS`` user rows (at
+least one virtual sample): all 16 σ samples of an amazon_lite group, or
+20 small100 groups of 16 samples. A chunk's state costs ``3·I + 64``
+bytes a user row (``adopted``, ``adopt_t``, the 3 + 3 meta-graph
+weightings, the row's virtual sample and stacked user) and a block's
+preference cache ``8·I`` more, so a full chunk holds ~19 MB on
+amazon_lite (``I = 48``) and ~31 MB on gowalla_lite (``I = 80``); the
+per-event ``[events, I]`` arrays and the preference rows are formed
+``CHUNK_ROWS`` at a time (~2 MB on amazon_lite), which bounds the rest.
+No size changes a result: every draw is keyed by the global sample
+index and the model's local user ids, never by the group or the row,
+each row's state is its own, and the kernels give the same bits for any
+batch (DESIGN.md §2, "Exactness of the batched engine"). The trial keys
+are folded in stages: ``(seed, TAG_TRIAL, salt, sample)`` once per
 chunk, ``(t, ζ)`` once per step, ``(u', u, x)`` once per promotion
 event, and each trial continues its event's fold with its ``y``.
 
@@ -49,14 +55,15 @@ what the one-shot baselines use internally.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.dynamics import kernels
-from repro.dynamics.state import ModelData, WorldState, csr_ranges, init_state
+from repro.dynamics.state import ModelData, WorldState, csr_ranges
+from repro.params import Params
 from repro.rng import fold, fold_from, u01_from
 
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
@@ -134,20 +141,85 @@ def _group_seeds(
 
 
 @dataclass
+class _Stack:
+    """The distinct models of one engine call, concatenated.
+
+    Stacked user ``user0[d] + u`` is user ``u`` of model ``d``, and
+    ``out_start`` is the CSR over stacked users into the stacked edge
+    arrays, whose ``src``/``dst`` stay model-local ids (the trial keys
+    fold them). ``base_pref``/``pref0``/``wc0``/``ws0`` are per stacked
+    user, ``base_inf``/``act0`` per stacked edge; the rest is shared by
+    every model and read from the first.
+    """
+
+    user0: np.ndarray
+    out_start: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    base_inf: np.ndarray
+    act0: np.ndarray
+    base_pref: np.ndarray
+    pref0: np.ndarray
+    wc0: np.ndarray
+    ws0: np.ndarray
+    n_items: int
+    s_c: np.ndarray
+    s_s: np.ndarray
+    params: Params
+    seed: int
+    importance: np.ndarray
+
+
+def _stack(models: list[ModelData]) -> _Stack:
+    first = models[0]
+    for m in models[1:]:
+        if not (
+            m.s_c is first.s_c and m.s_s is first.s_s and m.params == first.params
+            and m.seed == first.seed and m.n_items == first.n_items
+            and np.array_equal(m.importance, first.importance)
+        ):
+            raise ValueError(
+                "seed group models must be subgraphs of one instance: the same "
+                "s_c/s_s objects, params, seed, n_items and importance"
+            )
+    edge0 = np.cumsum([0] + [len(m.src) for m in models])
+    cat = np.concatenate
+    return _Stack(
+        user0=np.cumsum([0] + [m.n_users for m in models]),
+        out_start=cat([m.out_start[:-1] + e for m, e in zip(models, edge0)] + [edge0[-1:]]),
+        src=cat([m.src for m in models]),
+        dst=cat([m.dst for m in models]),
+        base_inf=cat([m.base_inf for m in models]),
+        act0=cat([m.act0 for m in models]),
+        base_pref=cat([m.base_pref for m in models]),
+        pref0=cat([m.pref0 for m in models]),
+        wc0=cat([m.wc0 for m in models]),
+        ws0=cat([m.ws0 for m in models]),
+        n_items=first.n_items, s_c=first.s_c, s_s=first.s_s, params=first.params,
+        seed=first.seed, importance=first.importance,
+    )
+
+
+@dataclass
 class _Block:
-    """Virtual samples ``j = 0 … n−1`` of a chunk, as rows ``g = j·U + u``.
+    """Virtual samples ``j = 0 … n−1`` of a chunk, as ragged user rows.
 
     Virtual sample ``j`` is a global sample ``s`` of the chunk's seed
     group ``grp[j]``; ``key[j]`` is its trial keys ``(seed, TAG_TRIAL,
-    salt, s)`` folded, which each step continues with ``(t, ζ)``.
-    ``adopted``/``wc``/``ws``/``adopt_t`` are
-    ``[n·U, ·]`` views into the chunk's arrays. ``pref`` caches
-    ``P_pref`` rows in dynamic mode; ``pref_ok`` marks the rows still
-    current (a row goes stale when its user adopts or re-weights).
+    salt, s)`` folded, which each step continues with ``(t, ζ)``. It
+    owns the rows ``start[j] + u`` for the users ``u`` of its group's
+    submodel; row ``r`` belongs to virtual sample ``samp[r]`` and is
+    stacked user ``user[r]``. ``adopted``/``wc``/``ws``/``adopt_t`` are
+    row views into the chunk's arrays. ``pref`` caches ``P_pref`` rows
+    in dynamic mode; ``pref_ok`` marks the rows still current (a row
+    goes stale when its user adopts or re-weights).
     """
 
     grp: np.ndarray
     key: np.ndarray
+    start: np.ndarray
+    samp: np.ndarray
+    user: np.ndarray
     adopted: np.ndarray
     wc: np.ndarray
     ws: np.ndarray
@@ -155,10 +227,6 @@ class _Block:
     ad_count: np.ndarray
     pref: np.ndarray
     pref_ok: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.key)
 
 
 def simulate(
@@ -183,11 +251,11 @@ def simulate(
     if first_sample < 0:
         raise ValueError(f"first_sample must be >= 0, got {first_sample}")
     by_t = _group_seeds(model, seeds, T, n_samples)
-    return next(_run_groups(model, [by_t], T, n_samples, frozen, trial_salt, first_sample))
+    return next(_run_groups([model], [by_t], T, n_samples, frozen, trial_salt, first_sample))
 
 
 def simulate_groups(
-    model: ModelData,
+    model: ModelData | Sequence[ModelData],
     groups,
     T: int,
     n_samples: int,
@@ -197,72 +265,119 @@ def simulate_groups(
 ) -> Iterator[SimResult]:
     """:func:`simulate` of each seed group in ``groups``, sharing engine blocks.
 
-    Result ``i`` equals ``simulate(model, groups[i], T, n_samples, …)``
-    bit for bit: every draw is keyed by the sample, never by the group,
-    so which groups share a block changes no draw. Every group is
-    checked before any is simulated; a bad one raises ``ValueError``
-    naming its index. The results come lazily, one chunk of groups at a
-    time (:func:`_run_groups`), so a caller that keeps only σ holds the
-    state of one chunk (at most ``BLOCK_ROWS`` user rows, or one group:
-    ~19 MB on amazon_lite, see the module docstring), not of every group.
+    ``model`` is one model for every group, or one per group: subgraphs
+    of one instance (the same ``s_c``/``s_s`` objects, ``params``,
+    ``seed``, ``n_items`` and ``importance``; anything else raises
+    ``ValueError``). Result ``i`` equals ``simulate(models[i],
+    groups[i], T, n_samples, …)`` bit for bit: every draw is keyed by
+    the sample and the submodel-local users, never by the group, so
+    which groups share a block changes no draw. Every group is checked
+    before any is simulated; a bad one raises ``ValueError`` naming its
+    index. The results come lazily, one chunk of groups at a time
+    (:func:`_run_groups`), so a caller that keeps only σ holds the state
+    of one chunk (at most ``BLOCK_ROWS`` user rows, or one group: ~19 MB
+    on amazon_lite, see the module docstring), not of every group.
     """
+    groups = list(groups)
+    if isinstance(model, ModelData):
+        models = [model] * len(groups)
+    else:
+        models = list(model)
+        if len(models) != len(groups):
+            raise ValueError(f"{len(models)} models for {len(groups)} seed groups")
     by_ts = []
-    for i, seeds in enumerate(groups):
+    for i, (m, seeds) in enumerate(zip(models, groups)):
         try:
-            by_ts.append(_group_seeds(model, seeds, T, n_samples))
+            by_ts.append(_group_seeds(m, seeds, T, n_samples))
         except ValueError as exc:
             raise ValueError(f"seed group {i}: {exc}") from None
-    return _run_groups(model, by_ts, T, n_samples, frozen, trial_salt, 0)
+    return _run_groups(models, by_ts, T, n_samples, frozen, trial_salt, 0)
 
 
-def _run_groups(model, by_ts, T, n_samples, frozen, salt, first_sample) -> Iterator[SimResult]:
+def _run_groups(models, by_ts, T, n_samples, frozen, salt, first_sample) -> Iterator[SimResult]:
     """Simulate the groups in chunks of at most ``BLOCK_ROWS`` user rows.
 
-    A chunk holds at least one group; a group larger than a block has
-    its samples split over several blocks.
+    The distinct models are stacked (and checked to be of one instance)
+    before any group is simulated. A chunk holds at least one group; a
+    group larger than a block has its samples split over several blocks.
     """
-    per_chunk = max(1, BLOCK_ROWS // (n_samples * model.n_users))
-    for c in range(0, len(by_ts), per_chunk):
-        yield from _run_chunk(
-            model, by_ts[c:c + per_chunk], T, n_samples, frozen, salt, first_sample
-        )
+    if not by_ts:
+        return iter(())
+    distinct = list({id(m): m for m in models}.values())
+    st = _stack(distinct)
+    which = {id(m): d for d, m in enumerate(distinct)}
+    sub = np.array([which[id(m)] for m in models], dtype=np.int64)
+    rows = n_samples * np.diff(st.user0)[sub]
+    return (
+        res
+        for a, b in _cuts(rows)
+        for res in _run_chunk(st, sub[a:b], by_ts[a:b], T, n_samples, frozen, salt, first_sample)
+    )
 
 
-def _run_chunk(model, by_ts, T, n_samples, frozen, salt, first_sample) -> list[SimResult]:
-    """The results of one chunk of groups; their arrays are views of the chunk's."""
-    U, I = model.n_users, model.n_items
-    n = len(by_ts) * n_samples
-    state = init_state(model, n)
-    adopt_t = np.zeros((n, U, I), dtype=np.int16)
+def _cuts(sizes) -> list[tuple[int, int]]:
+    """Consecutive runs ``[a, b)`` of ``sizes``, each summing to at most
+    ``BLOCK_ROWS`` or holding one item."""
+    cuts, a, total = [], 0, 0
+    for b, size in enumerate(sizes.tolist()):
+        if b > a and total + size > BLOCK_ROWS:
+            cuts.append((a, b))
+            a, total = b, 0
+        total += size
+    cuts.append((a, len(sizes)))
+    return cuts
+
+
+def _run_chunk(st, sub, by_ts, T, n_samples, frozen, salt, first_sample) -> list[SimResult]:
+    """The results of one chunk of groups; their arrays are views of the chunk's.
+
+    Group ``k``'s virtual samples are ``k·n_samples …``, each owning
+    the rows of one sample of its submodel, so its rows are contiguous.
+    """
+    I = st.n_items
+    n_users = np.diff(st.user0)[sub]
+    grp = np.repeat(np.arange(len(by_ts)), n_samples)
+    size = n_users[grp]
+    start = np.concatenate([[0], np.cumsum(size)])
+    samp = np.repeat(np.arange(len(grp)), size)
+    user = np.arange(start[-1]) + np.repeat(st.user0[sub[grp]] - start[:-1], size)
+    adopted = np.zeros((start[-1], I), dtype=bool)
+    adopt_t = np.zeros((start[-1], I), dtype=np.int16)
+    wc, ws = st.wc0[user], st.ws0[user]
     seeds = _seed_table(by_ts, T)
     samples = np.arange(first_sample, first_sample + n_samples)
-    key = np.tile(fold(model.seed, TAG_TRIAL, salt, samples), len(by_ts))
-    grp = np.repeat(np.arange(len(by_ts)), n_samples)
+    key = np.tile(fold(st.seed, TAG_TRIAL, salt, samples), len(by_ts))
 
-    per_block = max(1, BLOCK_ROWS // U)
-    for j0 in range(0, n, per_block):
-        j1 = min(j0 + per_block, n)
-        rows = (j1 - j0) * U
+    for j0, j1 in _cuts(size):
+        r0, r1 = start[j0], start[j1]
         blk = _Block(
             grp=grp[j0:j1],
             key=key[j0:j1],
-            adopted=state.adopted[j0:j1].reshape(rows, I),
-            wc=state.wc[j0:j1].reshape(rows, -1),
-            ws=state.ws[j0:j1].reshape(rows, -1),
-            adopt_t=adopt_t[j0:j1].reshape(rows, I),
-            ad_count=np.zeros(rows, dtype=np.int64),
-            pref=np.empty((0, I) if frozen else (rows, I)),
-            pref_ok=np.zeros(rows, dtype=bool),
+            start=start[j0:j1] - r0,
+            samp=samp[r0:r1] - j0,
+            user=user[r0:r1],
+            adopted=adopted[r0:r1],
+            wc=wc[r0:r1],
+            ws=ws[r0:r1],
+            adopt_t=adopt_t[r0:r1],
+            ad_count=np.zeros(r1 - r0, dtype=np.int64),
+            pref=np.empty((0, I) if frozen else (r1 - r0, I)),
+            pref_ok=np.zeros(r1 - r0, dtype=bool),
         )
-        _run_block(model, blk, seeds, T, frozen)
+        _run_block(st, blk, seeds, T, frozen)
 
     results = []
-    for k in range(len(by_ts)):
-        s = slice(k * n_samples, (k + 1) * n_samples)
-        sigma, sigma_by_t = sigma_from_adopt_t(adopt_t[s], model.importance, T)
+    for k, U in enumerate(n_users.tolist()):
+        rows = slice(start[k * n_samples], start[(k + 1) * n_samples])
+        a_t = adopt_t[rows].reshape(n_samples, U, I)
+        sigma, sigma_by_t = sigma_from_adopt_t(a_t, st.importance, T)
         results.append(SimResult(
-            WorldState(state.adopted[s], state.wc[s], state.ws[s]),
-            adopt_t[s], sigma, sigma_by_t,
+            WorldState(
+                adopted[rows].reshape(n_samples, U, I),
+                wc[rows].reshape(n_samples, U, -1),
+                ws[rows].reshape(n_samples, U, -1),
+            ),
+            a_t, sigma, sigma_by_t,
         ))
     return results
 
@@ -284,28 +399,27 @@ def _seed_table(by_ts, T) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]
     return table
 
 
-def _run_block(model, blk, seeds, T, frozen) -> None:
-    U = model.n_users
+def _run_block(st, blk, seeds, T, frozen) -> None:
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
         f_g, f_x = _EMPTY, _EMPTY
         if t in seeds:
             start, su, sx = seeds[t]
             idx, counts = csr_ranges(start, blk.grp)
-            g = np.repeat(np.arange(blk.n, dtype=np.int64) * U, counts) + su[idx]
+            g = np.repeat(blk.start, counts) + su[idx]
             x = sx[idx]
             new = ~blk.adopted[g, x]
             f_g, f_x = g[new], x[new]
-        _apply_adoptions(model, blk, f_g, f_x, t, frozen)
+        _apply_adoptions(st, blk, f_g, f_x, t, frozen)
 
-        for zeta in range(1, model.params.max_steps + 1):
+        for zeta in range(1, st.params.max_steps + 1):
             if len(f_g) == 0:
                 break
-            f_g, f_x = _step(model, blk, f_g, f_x, t, zeta, frozen)
-            _apply_adoptions(model, blk, f_g, f_x, t, frozen)
+            f_g, f_x = _step(st, blk, f_g, f_x, t, zeta, frozen)
+            _apply_adoptions(st, blk, f_g, f_x, t, frozen)
 
 
-def _apply_adoptions(model, blk, g, x, t, frozen) -> None:
+def _apply_adoptions(st, blk, g, x, t, frozen) -> None:
     """Record new adoptions, then run the end-of-step weight updates.
 
     ``(g, x)`` are unique and sorted by row, then item.
@@ -321,33 +435,32 @@ def _apply_adoptions(model, blk, g, x, t, frozen) -> None:
     rows, new_row = np.unique(g, return_inverse=True)
     blk.wc[rows], blk.ws[rows] = kernels.update_weights(
         blk.wc[rows], blk.ws[rows], blk.adopted[rows], new_row, x,
-        model.s_c, model.s_s, model.params.eta,
+        st.s_c, st.s_s, st.params.eta,
     )
 
 
-def _step(model, blk, f_g, f_x, t, zeta, frozen):
+def _step(st, blk, f_g, f_x, t, zeta, frozen):
     """One propagation step of a block; returns the new frontier ``(g, x)``."""
-    U, I = model.n_users, model.n_items
+    I = st.n_items
     # Expand frontier pairs over the out-edges of their users (CSR ranges).
-    f_s, f_u = np.divmod(f_g, U)
-    e_idx, counts = csr_ranges(model.out_start, f_u)
+    e_idx, counts = csr_ranges(st.out_start, blk.user[f_g])
     if len(e_idx) == 0:
         return _EMPTY, _EMPTY
-    ev_s = np.repeat(f_s, counts)
+    ev_s = np.repeat(blk.samp[f_g], counts)
     ev_x = np.repeat(f_x, counts)
-    ev_gd = ev_s * U + model.dst[e_idx]
+    ev_gd = blk.start[ev_s] + st.dst[e_idx]
     live = ~blk.adopted[ev_gd, ev_x]
     if not live.any():
         return _EMPTY, _EMPTY
     e_idx, ev_s, ev_x, ev_gd = e_idx[live], ev_s[live], ev_x[live], ev_gd[live]
 
     if not frozen:
-        _fill_pref(model, blk, np.unique(ev_gd))
+        _fill_pref(st, blk, np.unique(ev_gd))
     # Keys (…, sample, t, ζ) folded once per virtual sample of the block.
     prefix = fold_from(blk.key, t, zeta)
     keys = [
         _trials(
-            model, blk, prefix, e_idx[c:c + CHUNK_ROWS], ev_s[c:c + CHUNK_ROWS],
+            st, blk, prefix, e_idx[c:c + CHUNK_ROWS], ev_s[c:c + CHUNK_ROWS],
             ev_x[c:c + CHUNK_ROWS], ev_gd[c:c + CHUNK_ROWS], frozen,
         )
         for c in range(0, len(e_idx), CHUNK_ROWS)
@@ -356,37 +469,37 @@ def _step(model, blk, f_g, f_x, t, zeta, frozen):
     return np.divmod(keys, I)
 
 
-def _fill_pref(model, blk, rows) -> None:
+def _fill_pref(st, blk, rows) -> None:
     """Compute the stale ``P_pref`` rows among ``rows`` into the cache."""
-    p = model.params
+    p = st.params
     rows = rows[~blk.pref_ok[rows]]
     for c in range(0, len(rows), CHUNK_ROWS):
         r = rows[c:c + CHUNK_ROWS]
         blk.pref[r] = kernels.preference_batch(
-            model.base_pref[r % model.n_users], blk.adopted[r], blk.wc[r], blk.ws[r],
-            model.s_c, model.s_s, p.beta_c, p.beta_s, p.pref_floor,
+            st.base_pref[blk.user[r]], blk.adopted[r], blk.wc[r], blk.ws[r],
+            st.s_c, st.s_s, p.beta_c, p.beta_s, p.pref_floor,
         )
     blk.pref_ok[rows] = True
 
 
-def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
+def _trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     """Adoption and extra-adoption trials of a chunk of promotion events.
 
     Returns the keys ``g·I + item`` of the hits (may repeat).
     """
-    p = model.params
-    I = model.n_items
-    src, dst = model.src[e_idx], model.dst[e_idx]
+    p = st.params
+    I = st.n_items
+    src, dst = st.src[e_idx], st.dst[e_idx]  # submodel-local: the keys fold them
     # P_act and P_pref(dst, x) per event (frozen: the initial values).
     if frozen:
-        act = model.act0[e_idx]
-        pref_x = model.pref0[dst, ev_x]
+        act = st.act0[e_idx]
+        pref_x = st.pref0[blk.user[ev_gd], ev_x]
     else:
-        ev_gs = ev_s * model.n_users + src
+        ev_gs = blk.start[ev_s] + src
         inter = (blk.adopted[ev_gs] & blk.adopted[ev_gd]).sum(axis=1)
         union = blk.ad_count[ev_gs] + blk.ad_count[ev_gd] - inter
         act = kernels.influence_strength(
-            model.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
+            st.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
         )
         pref_x = blk.pref[ev_gd, ev_x]
     p_promo = act * pref_x
@@ -396,7 +509,7 @@ def _trials(model, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     # frozen mode wc is never updated, so this reads the initial
     # perception as required. Batched: r_rows[e] = wc[dst_e] @ s_c[:, x_e, :].
     r_rows = np.einsum(
-        "em,emi->ei", blk.wc[ev_gd], model.s_c[:, ev_x, :].transpose(1, 0, 2)
+        "em,emi->ei", blk.wc[ev_gd], st.s_c[:, ev_x, :].transpose(1, 0, 2)
     )
     p_ext = p.ext_scale * p_promo[:, None] * r_rows
     p_ext[blk.adopted[ev_gd]] = 0.0

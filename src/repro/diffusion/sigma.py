@@ -22,10 +22,15 @@ def sigma_from_adopt_t(
     mean over samples of the importance-weighted adoption count.
     """
     importance = np.asarray(importance)
+    M, _, I = adopt_t.shape
+    # Adopters per (promotion, sample, item), from one pass over the
+    # adoptions: the same int64 counts as ``(adopt_t == t).sum(axis=1)``.
+    m, u, x = np.nonzero(adopt_t)
+    cnt = np.bincount(
+        (adopt_t[m, u, x].astype(np.int64) * M + m) * I + x, minlength=(T + 1) * M * I
+    ).reshape(T + 1, M, I)
     sigma_by_t = np.zeros(T + 1)
     for t in range(1, T + 1):
-        cnt = (adopt_t == t).sum(axis=1)  # [M, I] adopters of each item at t
-        sigma_by_t[t] = float((cnt.mean(axis=0) * importance).sum())
-    per_item = adopt_t > 0  # [M, U, I]
-    sigma = float((per_item.sum(axis=1).mean(axis=0) * importance).sum())
+        sigma_by_t[t] = float((cnt[t].mean(axis=0) * importance).sum())
+    sigma = float((cnt[1:].sum(axis=0).mean(axis=0) * importance).sum())
     return sigma, sigma_by_t

@@ -34,7 +34,8 @@ class ModelData:
     ``act0`` (per edge) and ``pref0`` (``[U, I]``) are the initial
     influence strength and preference, the base values clipped into
     the ranges of ``params``; frozen diffusion and every planner
-    estimate on the initial state read them.
+    estimate on the initial state read them. ``wc0``/``ws0`` are the
+    initial personal weightings, hashed once on first use.
     """
 
     n_users: int
@@ -84,6 +85,20 @@ class ModelData:
     def out_edges(self, u: int) -> slice:
         """Slice of the edge arrays holding ``u``'s out-edges."""
         return slice(self.out_start[u], self.out_start[u + 1])
+
+    @cached_property
+    def wc0(self) -> np.ndarray:
+        """Initial complementary weightings ``[U, nC]``, keyed by original ids."""
+        return kernels.init_weights(
+            self.orig_users, self.n_comp, self.seed, kernels.TAG_WEIGHT_INIT_C
+        )
+
+    @cached_property
+    def ws0(self) -> np.ndarray:
+        """Initial substitutable weightings ``[U, nS]``, keyed by original ids."""
+        return kernels.init_weights(
+            self.orig_users, self.n_subs, self.seed, kernels.TAG_WEIGHT_INIT_S
+        )
 
     @cached_property
     def nbr_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,17 +175,11 @@ def csr_ranges(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 def init_state(model: ModelData, n_samples: int) -> WorldState:
     """Fresh world state: nothing adopted, jittered-uniform weightings.
 
-    Weight initialization is keyed by *original* user ids, so a
-    subgraph instance starts from exactly the same perceptions its
-    users have in the full instance.
+    The weightings are ``model.wc0``/``ws0``, keyed by *original* user
+    ids, so a subgraph instance starts from exactly the same perceptions
+    its users have in the full instance.
     """
-    wc0 = kernels.init_weights(
-        model.orig_users, model.n_comp, model.seed, kernels.TAG_WEIGHT_INIT_C
-    )
-    ws0 = kernels.init_weights(
-        model.orig_users, model.n_subs, model.seed, kernels.TAG_WEIGHT_INIT_S
-    )
     adopted = np.zeros((n_samples, model.n_users, model.n_items), dtype=bool)
-    wc = np.broadcast_to(wc0, (n_samples, *wc0.shape)).copy()
-    ws = np.broadcast_to(ws0, (n_samples, *ws0.shape)).copy()
+    wc = np.broadcast_to(model.wc0, (n_samples, *model.wc0.shape)).copy()
+    ws = np.broadcast_to(model.ws0, (n_samples, *model.ws0.shape)).copy()
     return WorldState(adopted, wc, ws)

@@ -7,11 +7,11 @@ All are deterministic.
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.dynamics.state import ModelData, csr_ranges
+
+_EMPTY = np.empty(0, np.int64)
 
 
 def bfs_hops(model: ModelData, sources) -> np.ndarray:
@@ -32,39 +32,48 @@ def bfs_hops(model: ModelData, sources) -> np.ndarray:
     return dist
 
 
-def mioa_reach(model: ModelData, sources) -> np.ndarray:
-    """Maximum-influence out-arborescence reachable set (MIOA [22]).
+def mioa_reach_many(model: ModelData, source_sets) -> np.ndarray:
+    """Maximum-influence out-arborescence reach (MIOA [22]) of each source set.
 
-    Dijkstra on edge lengths ``-log(act0)`` from the given sources over
-    the out-edge CSR; a user belongs to the influence region if its
-    best path probability is ≥ ``params.theta_mioa``. Returns the best
-    path probability per user (0 where below the threshold or
-    unreachable); sources get 1.
+    Row ``k`` of the ``[S, U]`` result holds, per user, the best path
+    probability from the sources ``source_sets[k]`` over the out-edge
+    CSR on the initial influence strengths ``act0`` (0 where below
+    ``params.theta_mioa`` or unreachable; sources get 1). A user belongs
+    to the set's influence region when it is ≥ ``theta_mioa``.
+
+    All sets run in one label-correcting search over ``(set, user)``
+    cells on edge lengths ``-log(act0)``: each round relaxes the
+    out-edges of every cell whose distance fell in the previous round,
+    keeps the paths within ``-log(theta_mioa)``, and takes the minimum
+    per cell. The lengths are non-negative and a float add is monotone,
+    so the fixpoint is the minimum over paths of the path sums added
+    from the source: the distances of a Dijkstra search, bit for bit.
     """
     threshold = model.params.theta_mioa
+    U = model.n_users
     lens = -np.log(np.clip(model.act0, 1e-12, 1.0))
-    start = model.out_start
     limit = -np.log(max(threshold, 1e-12))
-    dist = np.full(model.n_users, np.inf)
-    heap: list[tuple[float, int]] = []
-    for s in sources:
-        if dist[s] > 0:
-            dist[s] = 0.0
-            heapq.heappush(heap, (0.0, int(s)))
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        a, b = start[u], start[u + 1]
-        for v, w in zip(model.dst[a:b].tolist(), lens[a:b].tolist()):
-            nd = d + w
-            if nd < dist[v] and nd <= limit:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    p = np.exp(-dist)
-    p[~np.isfinite(dist)] = 0.0
+    dist = np.full(len(source_sets) * U, np.inf)
+    cells = [k * U + np.asarray(ss, dtype=np.int64) for k, ss in enumerate(source_sets)]
+    frontier = np.unique(np.concatenate(cells)) if cells else _EMPTY
+    dist[frontier] = 0.0
+    while len(frontier):
+        row, u = np.divmod(frontier, U)
+        e, counts = csr_ranges(model.out_start, u)
+        nd = np.repeat(dist[frontier], counts) + lens[e]
+        cell = np.repeat(row * U, counts) + model.dst[e]
+        better = (nd <= limit) & (nd < dist[cell])
+        cell, nd = cell[better], nd[better]
+        np.minimum.at(dist, cell, nd)
+        frontier = np.unique(cell)
+    p = np.exp(-dist.reshape(len(source_sets), U))
     p[p < threshold] = 0.0
     return p
+
+
+def mioa_reach(model: ModelData, sources) -> np.ndarray:
+    """:func:`mioa_reach_many` of one source set: the ``[U]`` reach."""
+    return mioa_reach_many(model, [sources])[0]
 
 
 def diameter(model: ModelData) -> int:

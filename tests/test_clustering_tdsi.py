@@ -12,14 +12,21 @@ from repro.core.clustering import (
     group_and_order,
     identify_target_markets,
     influence_region,
+    influence_regions,
     initial_average_relevance,
     TargetMarket,
 )
-from repro.core.nominees import select_nominees
-from repro.core.tdsi import MarketEvaluator, substantial_influence, timing_window
+from repro.core.nominees import candidate_pool, select_nominees
+from repro.core.tdsi import (
+    MarketEvaluator,
+    marginals_many,
+    substantial_influence,
+    timing_window,
+)
 from repro.data.datasets import make_dataset
 from repro.diffusion.local import likelihood_pi, simulate, simulate_groups
-from repro.graph.local import mioa_reach
+from repro.dynamics.state import ModelData
+from repro.graph.local import mioa_reach, mioa_reach_many
 from repro.kg.relevance import average_relevance
 from repro.params import DEFAULT
 
@@ -85,6 +92,15 @@ class TestInfluenceRegion:
         a = influence_region(small, [50, 3, 3, 17])
         b = influence_region(small, [3, 17, 50])
         assert np.array_equal(a, b)
+
+    def test_many_regions_equal_one_at_a_time(self, small):
+        m = dataclasses.replace(small, params=small.params.with_(market_cap=20))
+        sets = [[50, 3, 3, 17], [0], [99], [3, 17, 50], [61, 39]]
+        got = influence_regions(m, sets)
+        assert len(got) == len(sets)
+        for region, sources in zip(got, sets):
+            assert np.array_equal(region, influence_region(m, sources))
+        assert np.array_equal(got[0], got[3])
 
 
 class TestGrouping:
@@ -169,17 +185,20 @@ class TestTimingWindow:
 def engine_calls(monkeypatch):
     """The groups of each evaluator engine call, and the ``likelihood_pi`` calls.
 
-    ``calls`` holds ``(model, groups)`` per ``simulate_groups`` call; the
-    model object is kept, so its ``id`` names it for the whole test.
+    ``calls`` holds, per ``simulate_groups`` call, its ``(model, group)``
+    pairs (an evaluator passes one model per group); the model objects
+    are kept, so an ``id`` names a model for the whole test.
     """
     import repro.core.tdsi as tdsi
 
     log = {"calls": [], "pi": 0}
 
-    def counting_groups(model, groups, *args, **kw):
+    def counting_groups(models, groups, *args, **kw):
         groups = [list(g) for g in groups]
-        log["calls"].append((model, groups))
-        return simulate_groups(model, groups, *args, **kw)
+        if isinstance(models, ModelData):
+            models = [models] * len(groups)
+        log["calls"].append(list(zip(models, groups)))
+        return simulate_groups(models, groups, *args, **kw)
 
     def counting_pi(*args):
         log["pi"] += 1
@@ -214,7 +233,9 @@ class TestMarketEvaluator:
         ev.sigma_pi(group)
         ev.sigma_pi(group[::-1])
         ev.average_relevance(group[:2])
-        assert [g for _, g in engine_calls["calls"]] == [[[(0, 0, 1), (5, 1, 2)]]]
+        assert [[g for _, g in call] for call in engine_calls["calls"]] == [
+            [[(0, 0, 1), (5, 1, 2)]]
+        ]
         fresh = simulate(sub, [(0, 0, 1), (5, 1, 2)], 3, 4)
         assert np.array_equal(rc, average_relevance(fresh.state.wc, sub.s_c))
         assert np.array_equal(rs, average_relevance(fresh.state.ws, sub.s_s))
@@ -225,14 +246,14 @@ class TestMarketEvaluator:
         groups = [[(0, 0, 1)], [(5, 1, 2), (0, 0, 1)], [], [(9, 2, 1)]]
         first = ev.sigmas(groups)
         assert len(engine_calls["calls"]) == 1
-        assert len(engine_calls["calls"][0][1]) == len(groups) - 1  # σ(∅) is not simulated
+        assert len(engine_calls["calls"][0]) == len(groups) - 1  # σ(∅) is not simulated
         again = ev.sigmas([g[::-1] for g in groups[::-1]] + groups)
         assert again == first[::-1] + first
         assert len(engine_calls["calls"]) == 1  # repeated and reordered: no call
         want = [simulate(small, g, 2, 3).sigma for g in groups]
         assert first == want
         ev.sigmas(groups[:2] + [[(7, 0, 2)], [(8, 0, 1)], [(7, 0, 2)]])
-        assert [len(g) for _, g in engine_calls["calls"]] == [3, 2]
+        assert [len(call) for call in engine_calls["calls"]] == [3, 2]
 
     def test_empty_group_sigma_is_not_simulated(self, small, engine_calls):
         sub = small.subgraph(np.arange(30))
@@ -241,7 +262,7 @@ class TestMarketEvaluator:
         assert ev.sigmas([[(99, 0, 1)]]) == [0.0]  # outside the market: empty too
         assert engine_calls["calls"] == []
         ev.sigma_pi([])  # a π request still simulates the empty group
-        assert [g for _, g in engine_calls["calls"]] == [[[]]]
+        assert [[g for _, g in call] for call in engine_calls["calls"]] == [[[]]]
 
     def test_sigma_only_request_computes_no_pi(self, small, engine_calls):
         ev = MarketEvaluator(small.subgraph(np.arange(40)), T=3, n_samples=4)
@@ -259,6 +280,35 @@ class TestMarketEvaluator:
         s0, *s = MarketEvaluator(sub, T=3, n_samples=4).sigmas([base] + [base + e for e in ext])
         assert got == [s1 - s0 for s1 in s]
         assert got[2:] == [0.0, 0.0]  # out-of-market and empty extensions add nothing
+
+    def test_marginals_many_equal_per_evaluator_marginals(self, small, engine_calls):
+        subs = [small.subgraph(np.arange(30)), small.subgraph(np.arange(20, 70)), small]
+        base = [(21, 0, 1), (5, 1, 1)]
+        exts = [[[(25, 1, 1)], [(3, 2, 1)]], [[(40, 0, 1)]], [[(61, 0, 1)], [(62, 2, 1)], []]]
+        requests = [
+            (MarketEvaluator(sm, T=2, n_samples=3), base, ext) for sm, ext in zip(subs, exts)
+        ]
+        got = marginals_many(requests + [(requests[0][0], [], exts[0][:1])])
+        assert len(engine_calls["calls"]) == 1  # every evaluator's groups, one call
+        assert {id(m) for m, _ in engine_calls["calls"][0]} == {id(sm) for sm in subs}
+        want = [
+            MarketEvaluator(sm, T=2, n_samples=3).marginals(base, ext)
+            for sm, ext in zip(subs, exts)
+        ]
+        assert got[:3] == want
+        assert got[3] == [requests[0][0].sigmas([exts[0][0]])[0]]
+        assert got[2][2] == 0.0 and all(g > 0 for g in got[0])
+
+    def test_marginals_many_needs_shared_settings(self, small):
+        sub = small.subgraph(np.arange(30))
+        a = MarketEvaluator(sub, T=2, n_samples=3)
+        for b in [
+            MarketEvaluator(sub, T=3, n_samples=3),
+            MarketEvaluator(sub, T=2, n_samples=4),
+            MarketEvaluator(sub, T=2, n_samples=3, frozen=True),
+        ]:
+            with pytest.raises(ValueError, match="share T, n_samples and frozen"):
+                marginals_many([(a, [], [[(0, 0, 1)]]), (b, [], [[(1, 0, 1)]])])
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_sigma_equals_simulate(self, small, frozen):
@@ -294,8 +344,35 @@ class TestMarketEvaluator:
 def test_planners_never_simulate_a_group_twice(small, engine_calls, planner):
     """No (model, localized group) pair reaches the engine twice."""
     assert planner(small)
-    seen = [
-        (id(model), tuple(sorted(g))) for model, groups in engine_calls["calls"] for g in groups
-    ]
+    seen = [(id(model), tuple(sorted(g))) for call in engine_calls["calls"] for model, g in call]
     assert len(engine_calls["calls"]) > 1
     assert len(seen) == len(set(seen))
+
+
+def test_tmi_first_pass_is_one_search_and_one_engine_call(small, engine_calls, monkeypatch):
+    """The whole candidate pool: one MIOA search, then one engine call over its regions."""
+    import repro.core.clustering as clustering
+
+    searches = []
+
+    def counting_reach(model, source_sets):
+        searches.append([list(s) for s in source_sets])
+        return mioa_reach_many(model, source_sets)
+
+    monkeypatch.setattr(clustering, "mioa_reach_many", counting_reach)
+    budget = 12
+    fits = [c for c in candidate_pool(small, max_pairs=40) if small.cost[c] <= budget]
+    users = sorted({u for u, _ in fits})
+    assert select_nominees(small, budget, max_pairs=40)
+    assert len(searches) == 1
+    assert sorted(s[0] for s in searches[0]) == users
+    first, *later = engine_calls["calls"]
+    assert len(first) == len(fits)  # one group per candidate: σ(∅) is not simulated
+    assert len({id(m) for m, _ in first}) == len(users)
+    assert all(len(call) <= 2 for call in later)  # CELF re-scores one candidate alone
+
+
+@pytest.mark.parametrize("scope", ["locl", "", None, "LOCAL"])
+def test_select_nominees_rejects_unknown_scope(small, scope):
+    with pytest.raises(ValueError, match="scope must be 'local' or 'full'"):
+        select_nominees(small, 12, max_pairs=40, scope=scope)

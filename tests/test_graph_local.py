@@ -1,4 +1,5 @@
 """Tests for the graph primitives (repro.graph.local) on toy ModelDatas."""
+import heapq
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamics.state import ModelData
-from repro.graph.local import bfs_hops, diameter, mioa_reach
+from repro.core.nominees import candidate_users
+from repro.data.datasets import PRESETS, make_dataset
+from repro.graph.local import bfs_hops, diameter, mioa_reach, mioa_reach_many
 from repro.params import DEFAULT
 
 
@@ -169,6 +172,33 @@ def _ref_mioa(m, sources):
     return p
 
 
+def _dijkstra_mioa(m, sources):
+    """Heap Dijkstra on the same per-edge lengths, one source set at a time."""
+    theta = m.params.theta_mioa
+    lens = -np.log(np.clip(m.act0, 1e-12, 1.0))
+    limit = -np.log(max(theta, 1e-12))
+    dist = np.full(m.n_users, np.inf)
+    heap = []
+    for s in sources:
+        if dist[s] > 0:
+            dist[s] = 0.0
+            heapq.heappush(heap, (0.0, int(s)))
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        sl = m.out_edges(u)
+        for v, w in zip(m.dst[sl].tolist(), lens[sl].tolist()):
+            nd = d + w
+            if nd < dist[v] and nd <= limit:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    p = np.exp(-dist)
+    p[~np.isfinite(dist)] = 0.0
+    p[p < theta] = 0.0
+    return p
+
+
 def _ref_diameter(m, members):
     members = sorted(set(members))
     if len(members) <= 1:
@@ -211,7 +241,32 @@ class TestAgainstReference:
 
     @given(m=graphs(), data=st.data())
     @settings(max_examples=150, deadline=None)
+    def test_mioa_reach_many_equals_dijkstra(self, m, data):
+        source_sets = data.draw(st.lists(
+            st.lists(st.integers(0, m.n_users - 1), max_size=3), max_size=4
+        ))
+        got = mioa_reach_many(m, source_sets)
+        assert got.shape == (len(source_sets), m.n_users)
+        for row, sources in zip(got, source_sets):
+            assert row.tolist() == _dijkstra_mioa(m, sources).tolist()
+
+    @given(m=graphs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
     def test_market_diameter(self, m, data):
         mask = data.draw(st.lists(st.booleans(), min_size=m.n_users, max_size=m.n_users))
         members = [u for u, keep in enumerate(mask) if keep] or [0]
         assert diameter(m.subgraph(members)) == _ref_diameter(m, members)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_mioa_reach_many_equals_dijkstra_on_presets(preset):
+    """Bit for bit, per set: each candidate user (TMI's and PS's sets), every
+    97th user, and two multi-source sets."""
+    m = make_dataset(preset).model
+    cands = [[u] for u in candidate_users(m)]
+    sets = cands + [[u] for u in range(0, m.n_users, 97)] + [[0, 7, 7, 99], [5, 3]]
+    got = mioa_reach_many(m, sets)
+    for row, sources in zip(got, sets):
+        assert np.array_equal(row, _dijkstra_mioa(m, sources))
+    assert (got[: len(cands)] > 0).sum(axis=1).min() > 10  # the regions are not trivial
+    assert np.array_equal(mioa_reach(m, sets[-1]), got[-1])

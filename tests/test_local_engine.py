@@ -1,4 +1,6 @@
 """Tests for the local Monte-Carlo diffusion engine (repro.diffusion.local)."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -409,3 +411,92 @@ class TestSimulateGroupsExact:
 
     def test_no_groups(self, small):
         assert list(local_engine.simulate_groups(small, [], T=3, n_samples=2)) == []
+
+
+def _submodel_groups(model):
+    """Groups on submodels of mixed sizes (one repeated) and the full model.
+
+    Each group's seeds are in its own model's local ids.
+    """
+    U = model.n_users
+    a = model.subgraph(np.arange(0, U, 2))  # half the users
+    b = model.subgraph(np.arange(U // 3))
+    c = model.subgraph([1, 5, 9, 12, 40])
+    models = [a, b, model, a, c, b, a]
+    groups = [
+        [(0, 0, 1), (3, 2, 2)],
+        [(1, 1, 1)],
+        [(0, 0, 1), (5, 2, 1), (9, 0, 2)],
+        [],
+        [(0, 0, 1), (2, 1, 3)],
+        [(4, 0, 2), (1, 1, 1)],
+        [(7, 3, 1)],
+    ]
+    return models, groups
+
+
+# Per field a model must share with the others of one call: a change to it.
+_OTHER_INSTANCE = {
+    "s_c": lambda m: {"s_c": m.s_c.copy()},
+    "s_s": lambda m: {"s_s": m.s_s.copy()},
+    "params": lambda m: {"params": m.params.with_(eta=m.params.eta / 2)},
+    "seed": lambda m: {"seed": m.seed + 1},
+    "importance": lambda m: {"importance": m.importance * 2},
+    "n_items": lambda m: {
+        "n_items": m.n_items - 1, "base_pref": m.base_pref[:, :-1], "cost": m.cost[:, :-1],
+    },
+}
+
+
+class TestSimulateGroupsSubmodels:
+    """Groups on different submodels of one instance keep their own bits."""
+
+    @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("sizes", ["default", "one", "split"])
+    def test_equals_per_group_simulate(self, request, monkeypatch, preset, frozen, sizes):
+        model = request.getfixturevalue("small" if preset == "small100" else "amazon")
+        models, groups = _submodel_groups(model)
+        want = [simulate(m, g, T=3, n_samples=_M, frozen=frozen) for m, g in zip(models, groups)]
+        if sizes == "one":
+            monkeypatch.setattr(local_engine, "BLOCK_ROWS", 1)
+            monkeypatch.setattr(local_engine, "CHUNK_ROWS", 1)
+        elif sizes == "split":
+            # Blocks of two full-model samples: the full-model group is
+            # split over two blocks, and smaller groups share chunks.
+            monkeypatch.setattr(local_engine, "BLOCK_ROWS", 2 * model.n_users)
+            cuts = local_engine._cuts(np.array([_M * m.n_users for m in models]))
+            assert (2, 3) in cuts and any(b - a > 1 for a, b in cuts)
+        got = list(local_engine.simulate_groups(models, groups, T=3, n_samples=_M, frozen=frozen))
+        assert len(got) == len(want)
+        for a, b, m in zip(got, want, models):
+            assert a.adopt_t.shape == (_M, m.n_users, m.n_items)
+            assert _same_run(a, b)
+            assert a.sigma == b.sigma
+            assert np.array_equal(a.sigma_by_t, b.sigma_by_t)
+        assert sum(r.sigma > 0 for r in want) == len(want) - 1
+
+    def test_one_model_equals_model_list(self, small):
+        groups = _GROUPS["small100"]
+        one = list(local_engine.simulate_groups(small, groups, T=3, n_samples=_M))
+        many = list(local_engine.simulate_groups([small] * len(groups), groups, T=3, n_samples=_M))
+        for a, b in zip(one, many):
+            assert _same_run(a, b) and a.sigma == b.sigma
+
+    @pytest.mark.parametrize("change", sorted(_OTHER_INSTANCE))
+    def test_mixing_instances_rejected(self, small, change):
+        groups = [[(0, 0, 1)], [(1, 0, 1)]]
+        same = dataclasses.replace(small)  # a copy sharing the same arrays
+        assert len(list(local_engine.simulate_groups([small, same], groups, T=1, n_samples=1))) == 2
+        other = dataclasses.replace(small, **_OTHER_INSTANCE[change](small))
+        with pytest.raises(ValueError, match="subgraphs of one instance"):
+            local_engine.simulate_groups([small, other], groups, T=1, n_samples=1)
+
+    def test_model_count_must_match(self, small):
+        with pytest.raises(ValueError, match="2 models for 1 seed groups"):
+            local_engine.simulate_groups([small, small], [[(0, 0, 1)]], T=1, n_samples=1)
+
+    def test_seeds_checked_against_their_own_model(self, small):
+        sub = small.subgraph(np.arange(10))
+        with pytest.raises(ValueError, match=r"seed group 1: seed user 50 outside \[0, 10\)"):
+            local_engine.simulate_groups([small, sub], [[(50, 0, 1)], [(50, 0, 1)]], T=1, n_samples=1)

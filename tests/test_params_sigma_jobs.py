@@ -49,6 +49,27 @@ class TestSigmaHelpers:
         assert sigma == 0.0
         assert not by_t.any()
 
+    @pytest.mark.parametrize("T", [1, 3, 10])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_equals_per_promotion_passes(self, T, empty):
+        """The one-pass counts give the bits of one ``adopt_t == t`` pass per promotion."""
+        rng = np.random.default_rng(T)
+        M, U, I = 16, 40, 7
+        adopt_t = rng.integers(0, T + 1, (M, U, I)).astype(np.int16)
+        adopt_t[rng.random((M, U, I)) < 0.6] = 0
+        if empty:
+            adopt_t[:] = 0
+        importance = rng.uniform(0.1, 3.0, I)
+        want_by_t = np.zeros(T + 1)
+        for t in range(1, T + 1):
+            cnt = (adopt_t == t).sum(axis=1)
+            want_by_t[t] = float((cnt.mean(axis=0) * importance).sum())
+        want = float(((adopt_t > 0).sum(axis=1).mean(axis=0) * importance).sum())
+        sigma, by_t = sigma_from_adopt_t(adopt_t, importance, T)
+        assert sigma == want
+        assert (by_t == want_by_t).all()
+        assert (sigma == 0.0) == empty
+
 
 class TestJobWrappers:
     @pytest.mark.parametrize("t", [f"t{i}" for i in range(1, 10)])
