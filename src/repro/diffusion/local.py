@@ -48,6 +48,15 @@ are folded in stages: ``(seed, TAG_TRIAL, salt, sample)`` once per
 chunk, ``(t, ζ)`` once per step, ``(u', u, x)`` once per promotion
 event, and each trial continues its event's fold with its ``y``.
 
+A chunk of events takes its extra-adoption trials from one flat mask
+of the live ``(event, y)`` pairs (``P_ext > 0``, ``y`` not adopted,
+``y ≠ x``) over the dense ``[events, I]`` form, in row-major order, and
+decides every trial on the integers (:func:`repro.rng.below`: the draw's
+top 53 bits against ``p · 2⁵³``, which is ``u < p`` exactly). The engine
+runs at most ``MAX_ITEMS`` = 255 items (common adoptions are counted in
+uint8) and ``MAX_T`` = 32767 promotions (``adopt_t`` is int16). σ of a
+chunk's groups is one count (:func:`repro.diffusion.sigma.sigma_groups`).
+
 ``frozen=True`` freezes ``P_pref``/``P_act``/``r^C`` at their initial
 (nothing-adopted) values and skips weight updates — this is the static
 evaluation Sec. IV-B prescribes for the MCP nominee score ``f`` and
@@ -60,15 +69,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.diffusion.sigma import sigma_from_adopt_t
+from repro.diffusion.sigma import sigma_groups
 from repro.dynamics import kernels
 from repro.dynamics.state import ModelData, WorldState, csr_ranges
 from repro.params import Params
-from repro.rng import fold, fold_from, u01_from
+from repro.rng import below, fold, fold_from
 
 TAG_TRIAL = 21  # namespaces adoption/ext trials in the hash keys
 BLOCK_ROWS = 32768  # user rows (samples × users) stepped together
 CHUNK_ROWS = 1024  # events, or missing preference rows, per vectorized pass
+MAX_T = int(np.iinfo(np.int16).max)  # adopt_t holds promotion indices as int16
+MAX_ITEMS = int(np.iinfo(np.uint8).max)  # common adoptions are counted in uint8
 
 _EMPTY = np.empty(0, np.int64)
 
@@ -116,10 +127,16 @@ def _group_seeds(
     Raises ``ValueError`` for ``T < 1``, ``n_samples < 1``, a
     non-integral user, item or timing, a timing outside ``[1, T]``, a
     user or item id out of range, and a ``(user, item)`` pair listed
-    twice in one promotion.
+    twice in one promotion; and for what the engine's arrays cannot
+    hold: ``T > MAX_T`` (``adopt_t`` is int16) or more than
+    ``MAX_ITEMS`` items (common adoptions are counted in uint8).
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if T > MAX_T:
+        raise ValueError(f"T must be <= {MAX_T}, got {T}")
+    if model.n_items > MAX_ITEMS:
+        raise ValueError(f"the engine runs at most {MAX_ITEMS} items, got {model.n_items}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     by_t: dict[int, list[tuple[int, int]]] = {}
@@ -149,7 +166,9 @@ class _Stack:
     arrays, whose ``src``/``dst`` stay model-local ids (the trial keys
     fold them). ``base_pref``/``pref0``/``wc0``/``ws0`` are per stacked
     user, ``base_inf``/``act0`` per stacked edge; the rest is shared by
-    every model and read from the first.
+    every model and read from the first. ``s_cT [I, nC, I]`` is ``s_c``
+    with its item axis first, contiguous, so that a chunk gathers the
+    ``s_c[:, x, :]`` slices of its events in one copy.
     """
 
     user0: np.ndarray
@@ -164,6 +183,7 @@ class _Stack:
     ws0: np.ndarray
     n_items: int
     s_c: np.ndarray
+    s_cT: np.ndarray
     s_s: np.ndarray
     params: Params
     seed: int
@@ -197,6 +217,7 @@ def _stack(models: list[ModelData]) -> _Stack:
         ws0=cat([m.ws0 for m in models]),
         n_items=first.n_items, s_c=first.s_c, s_s=first.s_s, params=first.params,
         seed=first.seed, importance=first.importance,
+        s_cT=np.ascontiguousarray(first.s_c.transpose(1, 0, 2)),
     )
 
 
@@ -366,18 +387,17 @@ def _run_chunk(st, sub, by_ts, T, n_samples, frozen, salt, first_sample) -> list
         )
         _run_block(st, blk, seeds, T, frozen)
 
+    sigma, sigma_by_t = sigma_groups(adopt_t, grp[samp], len(by_ts), n_samples, st.importance, T)
     results = []
     for k, U in enumerate(n_users.tolist()):
         rows = slice(start[k * n_samples], start[(k + 1) * n_samples])
-        a_t = adopt_t[rows].reshape(n_samples, U, I)
-        sigma, sigma_by_t = sigma_from_adopt_t(a_t, st.importance, T)
         results.append(SimResult(
             WorldState(
                 adopted[rows].reshape(n_samples, U, I),
                 wc[rows].reshape(n_samples, U, -1),
                 ws[rows].reshape(n_samples, U, -1),
             ),
-            a_t, sigma, sigma_by_t,
+            adopt_t[rows].reshape(n_samples, U, I), float(sigma[k]), sigma_by_t[k],
         ))
     return results
 
@@ -490,13 +510,17 @@ def _trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     p = st.params
     I = st.n_items
     src, dst = st.src[e_idx], st.dst[e_idx]  # submodel-local: the keys fold them
+    ad_dst = blk.adopted[ev_gd]
     # P_act and P_pref(dst, x) per event (frozen: the initial values).
     if frozen:
         act = st.act0[e_idx]
         pref_x = st.pref0[blk.user[ev_gd], ev_x]
     else:
         ev_gs = blk.start[ev_s] + src
-        inter = (blk.adopted[ev_gs] & blk.adopted[ev_gd]).sum(axis=1)
+        # Common adoptions: a 0/1 dot product, exact in uint8 (I <= MAX_ITEMS).
+        inter = np.einsum(
+            "ei,ei->e", blk.adopted[ev_gs].view(np.uint8), ad_dst.view(np.uint8)
+        )
         union = blk.ad_count[ev_gs] + blk.ad_count[ev_gd] - inter
         act = kernels.influence_strength(
             st.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
@@ -508,22 +532,23 @@ def _trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     # P_ext = ext_scale · P_act(u',u) · P_pref(u,x) · r^C(u,x,y). In
     # frozen mode wc is never updated, so this reads the initial
     # perception as required. Batched: r_rows[e] = wc[dst_e] @ s_c[:, x_e, :].
-    r_rows = np.einsum(
-        "em,emi->ei", blk.wc[ev_gd], st.s_c[:, ev_x, :].transpose(1, 0, 2)
-    )
+    r_rows = np.einsum("em,emi->ei", blk.wc[ev_gd], st.s_cT[ev_x])
     p_ext = p.ext_scale * p_promo[:, None] * r_rows
-    p_ext[blk.adopted[ev_gd]] = 0.0
-    p_ext[np.arange(len(ev_x)), ev_x] = 0.0
     # A draw is in [0, 1), so a zero-probability trial never hits: draw
-    # extra adoptions only where P_ext > 0.
-    er, ey = np.nonzero(p_ext > 0)
+    # extra adoptions only where P_ext > 0, for items y ≠ x not adopted.
+    live = p_ext > 0
+    live &= ~ad_dst
+    live[np.arange(len(ev_x)), ev_x] = False
+    flat = np.flatnonzero(live)  # row-major, as np.nonzero: the same trials in order
+    er = flat // I
+    ey = flat - er * I
 
     # One draw per trial, keyed (salt, sample, t, ζ, u', u, x, y): the
     # event's keys up to x are folded once, then continued with y = x for
     # the direct adoption and with each y of its extra trials.
     h = fold_from(prefix[ev_s], src, dst, ev_x)
-    hit = u01_from(h, ev_x) < p_promo
-    ext = u01_from(h[er], ey) < p_ext[er, ey]
+    hit = below(h, ev_x, p_promo)
+    ext = below(h[er], ey, p_ext.ravel()[flat])
     return np.concatenate([ev_gd[hit] * I + ev_x[hit], ev_gd[er[ext]] * I + ey[ext]])
 
 

@@ -72,11 +72,18 @@ def preference_batch(
     adopted items in ascending item order (:func:`_adopted_sums`); the
     meta-graph reduction is an einsum. The tests check the result bit
     for bit against the plain ``einsum("ua,may->umy")`` form.
+
+    A row that has adopted nothing is its clipped base: its sums are
+    ``+0.0``, and adding or subtracting ``+0.0`` changes no value, so
+    only the rows with adoptions are reduced.
     """
-    acc_c, acc_s = _adopted_sums(adopted_rows, s_c, s_s)
-    comp = np.einsum("um,umy->uy", wc_rows, acc_c)
-    subs = np.einsum("um,umy->uy", ws_rows, acc_s)
-    return np.clip(base_pref_rows + beta_c * comp - beta_s * subs, pref_floor, 1.0)
+    out = np.clip(base_pref_rows, pref_floor, 1.0)
+    rows = np.flatnonzero(adopted_rows.any(axis=1))
+    acc_c, acc_s = _adopted_sums(adopted_rows[rows], s_c, s_s)
+    comp = np.einsum("um,umy->uy", wc_rows[rows], acc_c)
+    subs = np.einsum("um,umy->uy", ws_rows[rows], acc_s)
+    out[rows] = np.clip(base_pref_rows[rows] + beta_c * comp - beta_s * subs, pref_floor, 1.0)
+    return out
 
 
 def _adopted_sums(adopted_rows: np.ndarray, *tensors: np.ndarray) -> list[np.ndarray]:

@@ -1,11 +1,11 @@
 """Stateless, counter-based randomness shared by both diffusion engines.
 
 Every Bernoulli trial in the simulator compares a uniform draw with its
-probability, and every draw is a pure function of a tuple of integer
-keys (seed, sample, promotion, step, actor, target, item, tag). The
-Spark engine runs the local engine on shards of the Monte-Carlo
-samples, and a sample's draws do not depend on which shard simulates
-it. That buys two things:
+probability (:func:`below` makes that comparison on the integers), and
+every draw is a pure function of a tuple of integer keys (seed, sample,
+promotion, step, actor, target, item, tag). The Spark engine runs the
+local engine on shards of the Monte-Carlo samples, and a sample's draws
+do not depend on which shard simulates it. That buys two things:
 
 * the Spark engine can be tested for **exact equality** against a
   single local run, and
@@ -132,3 +132,17 @@ def u01(*keys) -> np.ndarray:
 def u01_from(acc, *keys) -> np.ndarray:
     """:func:`u01` of a key tuple whose prefix was folded into ``acc``."""
     return _unit(fold_from(acc, *keys))
+
+
+def below(acc, key, p) -> np.ndarray:
+    """Bernoulli trials: ``u01_from(acc, key) < p``, compared on the integers.
+
+    The draw is ``k · 2⁻⁵³`` for the top 53 bits ``k`` of the fold, and
+    scaling by a power of two is exact, so ``u < p`` holds exactly when
+    ``k < p · 2⁵³`` (``k`` converts to float64 exactly, ``k < 2⁵³``; a
+    NaN ``p`` never hits, as before). This skips the float draw and its
+    division on every trial.
+    """
+    bits = fold_from(acc, key)
+    bits >>= _S11
+    return bits < np.multiply(p, _U53)

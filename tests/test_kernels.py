@@ -303,3 +303,33 @@ class TestUpdateWeightsExact:
         if rows > 1:  # row 1 owns only its new item: its gain is zero
             new = new_item[new_row == 1]
             assert not np.einsum("a,may->m", ad[1].astype(float), m.s_c[:, :, new]).any()
+
+
+def _full_preference(base, adopted, wc, ws, s_c, s_s, beta_c, beta_s, floor):
+    """``preference_batch`` reducing every row, rows without adoptions too."""
+    acc_c, acc_s = kernels._adopted_sums(adopted, s_c, s_s)
+    comp = np.einsum("um,umy->uy", wc, acc_c)
+    subs = np.einsum("um,umy->uy", ws, acc_s)
+    return np.clip(base + beta_c * comp - beta_s * subs, floor, 1.0)
+
+
+class TestPreferenceZeroAdoptionRows:
+    """Rows that adopted nothing skip the reduction and keep its bits."""
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 0.9, 1.0])
+    def test_equals_full_computation(self, share):
+        s_c, s_s = _toy_tensors(3, 12), _toy_tensors(3, 12, seed=4)
+        g = np.random.default_rng(int(share * 10))
+        B = 40
+        base = g.uniform(-0.2, 1.2, (B, 12))
+        base[0, :3] = [-0.0, 0.02, 1.0]
+        ad = g.random((B, 12)) < 0.3
+        ad[g.random(B) >= share] = False  # a share of the rows keeps adoptions
+        ad[1] = False
+        wc = kernels.normalize_rows(g.random((B, 3)))
+        ws = kernels.normalize_rows(g.random((B, 3)))
+        args = (base, ad, wc, ws, s_c, s_s, 0.4, 0.3, 0.02)
+        got = kernels.preference_batch(*args)
+        assert np.array_equal(got, _full_preference(*args))
+        assert np.array_equal(got, _einsum_preference(*args))
+        assert np.array_equal(got[~ad.any(axis=1)], np.clip(base[~ad.any(axis=1)], 0.02, 1.0))

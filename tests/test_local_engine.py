@@ -11,6 +11,7 @@ from repro.diffusion.sigma import sigma_from_adopt_t
 from repro.dynamics import kernels
 from repro.dynamics.state import ModelData
 from repro.params import DEFAULT
+from repro.rng import fold_from, u01_from
 
 
 def line_model(p_edge: float, n_items: int = 2, base_pref: float = 1.0) -> ModelData:
@@ -142,6 +143,30 @@ class TestEngineProperties:
             simulate_spark(None, small, [(3, 0, 1.5)], T=2, n_samples=2)
         with pytest.raises(ValueError, match="T must be >= 1"):
             simulate_spark(None, small, [], T=0, n_samples=2)
+        with pytest.raises(ValueError, match="T must be <= 32767"):
+            simulate_spark(None, small, [], T=32768, n_samples=2)
+        with pytest.raises(ValueError, match="at most 255 items"):
+            simulate_spark(None, line_model(0.5, n_items=256), [], T=1, n_samples=2)
+
+    def test_horizon_beyond_int16_rejected(self, small):
+        """``adopt_t`` holds promotion indices as int16."""
+        assert local_engine.MAX_T == 32767
+        with pytest.raises(ValueError, match="T must be <= 32767"):
+            simulate(small, [], T=32768, n_samples=1)
+        with pytest.raises(ValueError, match=r"seed group 0: T must be <= 32767"):
+            local_engine.simulate_groups([small, small], [[], []], T=40_000, n_samples=1)
+        res = simulate(line_model(0.5), [(0, 0, 32767)], T=32767, n_samples=1)
+        assert res.adopt_t[0, 0, 0] == 32767
+        assert res.sigma == res.sigma_by_t[32767] >= 1.0
+
+    def test_items_beyond_uint8_count_rejected(self):
+        """Common adoptions are counted in uint8, exact up to 255 items."""
+        assert local_engine.MAX_ITEMS == 255
+        with pytest.raises(ValueError, match="at most 255 items, got 256"):
+            simulate(line_model(0.5, n_items=256), [], T=1, n_samples=1)
+        res = simulate(line_model(0.5, n_items=255), [(0, x, 1) for x in range(255)], T=1,
+                       n_samples=1)
+        assert res.adopt_t[0, 0].all() and res.sigma >= 255
 
     def test_same_pair_in_two_promotions_allowed(self, small):
         res = simulate(small, [(0, 0, 1), (0, 0, 2)], T=2, n_samples=2)
@@ -474,6 +499,9 @@ class TestSimulateGroupsSubmodels:
             assert _same_run(a, b)
             assert a.sigma == b.sigma
             assert np.array_equal(a.sigma_by_t, b.sigma_by_t)
+            # The chunk's one σ count gives each group its own count's bits.
+            sigma, by_t = sigma_from_adopt_t(a.adopt_t, m.importance, 3)
+            assert a.sigma == sigma and np.array_equal(a.sigma_by_t, by_t)
         assert sum(r.sigma > 0 for r in want) == len(want) - 1
 
     def test_one_model_equals_model_list(self, small):
@@ -500,3 +528,88 @@ class TestSimulateGroupsSubmodels:
         sub = small.subgraph(np.arange(10))
         with pytest.raises(ValueError, match=r"seed group 1: seed user 50 outside \[0, 10\)"):
             local_engine.simulate_groups([small, sub], [[(50, 0, 1)], [(50, 0, 1)]], T=1, n_samples=1)
+
+
+def _dense_trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
+    """The dense ``_trials`` the engine replaced: the test oracle of its hits.
+
+    It zeroes ``p_ext`` where no trial is drawn, takes the pairs with a
+    2-D ``np.nonzero``, gathers ``s_c`` strided, counts common adoptions
+    in int64 and compares float draws ``u01_from(…) < p``.
+    """
+    p = st.params
+    I = st.n_items
+    src, dst = st.src[e_idx], st.dst[e_idx]
+    if frozen:
+        act = st.act0[e_idx]
+        pref_x = st.pref0[blk.user[ev_gd], ev_x]
+    else:
+        ev_gs = blk.start[ev_s] + src
+        inter = (blk.adopted[ev_gs] & blk.adopted[ev_gd]).sum(axis=1)
+        union = blk.ad_count[ev_gs] + blk.ad_count[ev_gd] - inter
+        act = kernels.influence_strength(
+            st.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
+        )
+        pref_x = blk.pref[ev_gd, ev_x]
+    p_promo = act * pref_x
+    r_rows = np.einsum("em,emi->ei", blk.wc[ev_gd], st.s_c[:, ev_x, :].transpose(1, 0, 2))
+    p_ext = p.ext_scale * p_promo[:, None] * r_rows
+    p_ext[blk.adopted[ev_gd]] = 0.0
+    p_ext[np.arange(len(ev_x)), ev_x] = 0.0
+    er, ey = np.nonzero(p_ext > 0)
+    h = fold_from(prefix[ev_s], src, dst, ev_x)
+    hit = u01_from(h, ev_x) < p_promo
+    ext = u01_from(h[er], ey) < p_ext[er, ey]
+    return np.concatenate([ev_gd[hit] * I + ev_x[hit], ev_gd[er[ext]] * I + ey[ext]])
+
+
+def _saturated_model():
+    """255 items, each related to every item: users 0 and 1 share 254
+    adoptions, so common-adoption counts reach the uint8 range's top, and
+    a trial drawn on an adopted item, or on the promoted item itself (the
+    diagonal is not zero here), would likely hit."""
+    I = local_engine.MAX_ITEMS
+    m = line_model(0.6, n_items=I)
+    m.s_c = np.full((1, I, I), 0.5)
+    m.s_s = np.zeros_like(m.s_c)
+    seeds = [(0, x, 1) for x in range(I)] + [(1, x, 1) for x in range(1, I)]
+    return m, seeds
+
+
+class TestTrialsExact:
+    """The engine's ``_trials`` returns the dense oracle's hit keys, in order."""
+
+    @pytest.mark.parametrize("case", ["small100", "amazon_lite", "saturated"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("chunk", ["default", "one"])
+    def test_equals_dense_oracle(self, request, monkeypatch, case, frozen, chunk):
+        if case == "saturated":
+            model, seeds = _saturated_model()
+        else:
+            model, seeds = _case(request, case)
+        if chunk == "one":
+            monkeypatch.setattr(local_engine, "CHUNK_ROWS", 1)
+        trials = local_engine._trials
+        seen = {"calls": 0, "hits": 0, "inter": 0}
+
+        def checked(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
+            got = trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen)
+            want = _dense_trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen)
+            assert np.array_equal(got, want)
+            # The contiguous [I, nC, I] gather reduces with the strided one's bits.
+            assert np.array_equal(
+                np.einsum("em,emi->ei", blk.wc[ev_gd], st.s_cT[ev_x]),
+                np.einsum("em,emi->ei", blk.wc[ev_gd], st.s_c[:, ev_x, :].transpose(1, 0, 2)),
+            )
+            ev_gs = blk.start[ev_s] + st.src[e_idx]
+            inter = (blk.adopted[ev_gs] & blk.adopted[ev_gd]).sum(axis=1)
+            seen["inter"] = max(seen["inter"], int(inter.max()))
+            seen["calls"] += 1
+            seen["hits"] += len(got)
+            return got
+
+        monkeypatch.setattr(local_engine, "_trials", checked)
+        res = simulate(model, seeds, T=3, n_samples=3, frozen=frozen)
+        assert seen["calls"] > 0 and seen["hits"] > 0 and res.sigma > 0
+        if case == "saturated":
+            assert seen["inter"] == local_engine.MAX_ITEMS - 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.diffusion.sigma import sigma_from_adopt_t
+from repro.diffusion.sigma import sigma_from_adopt_t, sigma_groups
 from repro.params import DEFAULT, Params
 
 
@@ -69,6 +69,43 @@ class TestSigmaHelpers:
         assert sigma == want
         assert (by_t == want_by_t).all()
         assert (sigma == 0.0) == empty
+
+
+def _per_promotion(adopt_t, importance, T):
+    """σ and ``σ_by_t`` of one group ``[M, U, I]``, one ``adopt_t == t`` pass each."""
+    by_t = np.zeros(T + 1)
+    for t in range(1, T + 1):
+        by_t[t] = float(((adopt_t == t).sum(axis=1).mean(axis=0) * importance).sum())
+    return float(((adopt_t > 0).sum(axis=1).mean(axis=0) * importance).sum()), by_t
+
+
+class TestSigmaGroups:
+    """One count over a chunk gives every group its own ``sigma_from_adopt_t`` bits."""
+
+    @pytest.mark.parametrize("M", [1, 3, 16])
+    @pytest.mark.parametrize("I, T", [(7, 3), (48, 10), (255, 2)])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_equals_per_group(self, M, I, T, empty):
+        """Ragged groups: each has its own (submodel) user count."""
+        rng = np.random.default_rng(M * 1000 + I + T)
+        users = [40, 1, 7, 40, 0, 13, 200]
+        groups = []
+        for U in users:
+            a = rng.integers(0, T + 1, (M, U, I)).astype(np.int16)
+            a[rng.random((M, U, I)) < 0.7] = 0
+            groups.append(a * (not empty))
+        groups[3][:] = 0  # an empty group among non-empty ones
+        importance = rng.uniform(0.1, 3.0, I)
+        rows = np.concatenate([g.reshape(-1, I) for g in groups])
+        group = np.repeat(np.arange(len(groups)), [M * U for U in users])
+        sigma, by_t = sigma_groups(rows, group, len(groups), M, importance, T)
+        assert sigma.shape == (len(groups),) and by_t.shape == (len(groups), T + 1)
+        for k, a in enumerate(groups):
+            one, one_by_t = sigma_from_adopt_t(a, importance, T)
+            ref, ref_by_t = _per_promotion(a, importance, T)
+            assert sigma[k] == one == ref
+            assert (by_t[k] == one_by_t).all() and (one_by_t == ref_by_t).all()
+        assert (sigma == 0.0).all() == empty
 
 
 class TestJobWrappers:

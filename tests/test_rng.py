@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import fold, fold_from, u01, u01_from
+from repro.rng import below, fold, fold_from, u01, u01_from
 
 
 class TestFold:
@@ -153,3 +153,44 @@ class TestBernoulli:
         out = u01(1, np.arange(11)) < p
         assert out.shape == (11,)
         assert not out[0] and out[-1]
+
+
+class TestBelow:
+    """``below`` compares on the integers with the float draw's result."""
+
+    ACC = fold(7, 21, 0, np.arange(64))
+
+    def _both(self, p):
+        keys = np.arange(64) % 5
+        return below(self.ACC, keys, p), u01_from(self.ACC, keys) < p
+
+    @pytest.mark.parametrize(
+        "p", [0.0, 1.0, 5e-324, np.nextafter(0.0, 1.0) * 3, float("nan"), -0.5, 2.0, 0.5]
+    )
+    def test_scalar_p(self, p):
+        got, want = self._both(p)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    def test_p_equal_to_a_draw(self):
+        """At ``p = k·2⁻⁵³`` exactly, the draw ``k`` misses and every lower one hits."""
+        keys = np.arange(64) % 5
+        u = u01_from(self.ACC, keys)
+        k = (fold_from(self.ACC, keys) >> np.uint64(11)).astype(np.float64)
+        assert np.array_equal(u * 2.0**53, k)  # the draw is k · 2^-53, exactly
+        for p in (u, np.nextafter(u, 1.0), np.nextafter(u, 0.0)):
+            assert np.array_equal(below(self.ACC, keys, p), u < p)
+        assert not below(self.ACC, keys, u).any()
+        assert below(self.ACC, keys, np.nextafter(u, 1.0)).all()
+
+    def test_vector_p(self):
+        g = np.random.default_rng(0)
+        p = g.random(64)
+        p[::7] = 0.0
+        p[1::9] = np.nan
+        got, want = self._both(p)
+        assert np.array_equal(got, want) and got.any() and not got.all()
+
+    def test_scalar_keys(self):
+        acc = fold(3, 4)
+        for p in (0.0, 0.3, 0.9, 1.0):
+            assert bool(below(acc, 9, p)) == bool(u01_from(acc, 9) < p)
