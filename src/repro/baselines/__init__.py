@@ -6,10 +6,3 @@ the budget, and promotion timings are assigned with a CR-Greedy [5]
 scheduler. All methods are evaluated on the same dynamic diffusion
 engine as Dysim.
 """
-from repro.baselines.cr_greedy import cr_greedy_timings
-from repro.baselines.bundlegrd import bundlegrd
-from repro.baselines.hag import hag
-from repro.baselines.ps import ps
-from repro.baselines.opt import opt_bruteforce
-
-__all__ = ["cr_greedy_timings", "bundlegrd", "hag", "ps", "opt_bruteforce"]

@@ -14,14 +14,17 @@ influence strengths, ``p̄ref(x)`` is the *population-mean* preference
 (PS estimates a seed's influence alone and does not target individual
 user-item matches), and ``cov_x`` is the probability that ``v`` is
 already influenced for ``x`` by previously selected seeds. Greedy by
-score per cost within the budget; CR-Greedy timings.
+score per cost within the budget, by :func:`repro.core.nominees.lazy_greedy`
+over the candidate users × items: a pick only raises ``cov``, so scores
+only fall and a lazy re-score picks what a full re-score would.
+CR-Greedy timings.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.baselines.cr_greedy import cr_greedy_timings
-from repro.core.nominees import candidate_users
+from repro.core.nominees import candidate_users, lazy_greedy
 from repro.diffusion.local import check_plan_inputs
 from repro.dynamics.state import ModelData
 from repro.graph.local import mioa_reach_many
@@ -39,29 +42,19 @@ def ps(model: ModelData, budget: float, T: int) -> list[tuple[int, int, int]]:
     reach = dict(zip(cand_users, mioa_reach_many(model, [[u] for u in cand_users])))
     cov = np.zeros((model.n_users, model.n_items))  # cov_x(v)
 
+    def gains(pairs: list[tuple[int, int]]) -> list[float]:
+        # self-adoption + discounted path coverage, population-mean pref:
+        # one [I] score row per distinct user
+        free = 1.0 - cov
+        rows = {
+            u: model.importance * (1.0 + mean_pref * (reach[u][:, None] * free).sum(axis=0))
+            for u in dict.fromkeys(u for u, _ in pairs)
+        }
+        return [rows[u][x] for u, x in pairs]
+
+    pairs = [(u, x) for u in cand_users for x in range(model.n_items)]
     selected: list[tuple[int, int]] = []
-    spent = 0.0
-    while True:
-        best = None
-        taken = set(selected)
-        for u in cand_users:
-            r = reach[u]
-            # self-adoption + discounted path coverage, population-mean pref
-            base = r[:, None] * (1.0 - cov)  # [U, I]
-            scores = model.importance * (1.0 + mean_pref * base.sum(axis=0))
-            for x in range(model.n_items):
-                if (u, x) in taken:
-                    continue
-                c = float(model.cost[u, x])
-                if spent + c > budget:
-                    continue
-                key = (scores[x] / c, -u, -x)
-                if best is None or key > best[0]:
-                    best = (key, u, x, c)
-        if best is None:
-            break
-        _, u, x, c = best
+    for u, x in lazy_greedy(pairs, gains, cost=lambda c: float(model.cost[c]), budget=budget):
         selected.append((u, x))
-        spent += c
         cov[:, x] = 1.0 - (1.0 - cov[:, x]) * (1.0 - reach[u])
     return cr_greedy_timings(model, [[pr] for pr in selected], T)

@@ -3,14 +3,17 @@
 Sec. IV-B: given the selected set ``N``, the MCP of a nominee ``(u,x)``
 is ``(f(N ∪ {(u,x)}) − f(N)) / c_{u,x}``, where ``f`` is the
 importance-aware influence with the nominees seeded in the first
-promotion and ``P_pref``/``P_act``/``P_ext`` frozen at their initial
-values. TMI greedily extracts the highest-MCP nominee that still fits
-the remaining budget, sped up with CELF-style lazy re-evaluation (the
-paper exploits submodularity "similar to CELF++").
+promotion and ``P_pref``/``P_act``/``P_ext`` assigned at its beginning:
+here ``f`` starts from the initial state and runs that one promotion
+under the full dynamics (DESIGN.md §3). TMI greedily extracts the
+highest-MCP nominee that still fits the remaining budget, sped up with
+CELF-style lazy re-evaluation (the paper exploits submodularity
+"similar to CELF++").
 
 :func:`lazy_greedy` is that CELF loop, the one behind every greedy
-planner: TMI (and HAG through it), BundleGRD's user greedy and TDSI's
-timing extraction.
+planner: TMI (:func:`select_nominees`), the dynamics-blind baselines'
+frozen full-model greedy (:func:`frozen_greedy`, behind HAG and
+BundleGRD), PS's path-score greedy and TDSI's timing extraction.
 
 The candidate universe ``U = V × I`` is pruned first: top users by
 out-degree crossed with all items, ranked by a cheap one-hop proxy and
@@ -95,57 +98,58 @@ def lazy_greedy(cands, gains, *, cost=None, budget=math.inf):
         spent += price(c)
 
 
+def frozen_greedy(model: ModelData, cands, seeds_of, *, cost, budget: float) -> list:
+    """Lazy-greedy picks over frozen full-model marginals, in pick order.
+
+    The greedy of the dynamics-blind baselines (HAG's pairs, BundleGRD's
+    users): ``seeds_of(cs)`` is the seed list of the candidates ``cs``,
+    all at t = 1, and a candidate's gain is its marginal over the picks
+    on one frozen :class:`~repro.core.tdsi.MarketEvaluator` of the whole
+    model, so the gains are exact and their cost grows with the number
+    of picks (as the paper observes of HAG).
+    """
+    ev = MarketEvaluator(model, 1, model.params.mc_plan, frozen=True)
+    picks: list = []
+
+    def gains(cs) -> list[float]:
+        return ev.marginals(seeds_of(picks), [seeds_of([c]) for c in cs])
+
+    for c in lazy_greedy(cands, gains, cost=cost, budget=budget):
+        picks.append(c)
+    return picks
+
+
 def select_nominees(
-    model: ModelData,
-    budget: float,
-    *,
-    max_pairs: int = MAX_PAIRS,
-    frozen: bool = False,
-    scope: str = "local",
+    model: ModelData, budget: float, *, max_pairs: int = MAX_PAIRS
 ) -> list[tuple[int, int]]:
-    """Greedy MCP selection by :func:`lazy_greedy`.
+    """TMI's greedy MCP selection by :func:`lazy_greedy`.
 
     Returns nominees in selection order; their total cost is ≤ budget.
     The objective ``f`` is σ with the nominees seeded at t = 1: Sec.
     IV-B assigns ``P_pref``/``P_act``/``P_ext`` "at the beginning of
     this promotion" — the initial state snapshot — and then measures
-    the importance-aware influence of one promotion. ``frozen`` selects
-    the dynamics-blind objective (for the baselines).
+    the importance-aware influence of one promotion.
 
-    A candidate's marginal is its evaluator's marginal over the selected
-    nominees, and the candidates of one ``gains`` call are one
-    :func:`~repro.core.tdsi.marginals_many` request (one engine call).
-    ``scope="local"`` (Dysim's mode) uses one evaluator per candidate
-    user, on the submodel induced by the user's MIOA influence region
-    (``base`` is the selected nominees inside it; the regions of the
-    users first met in a call are one search) — a bounded-cost
-    approximation of the full marginal that keeps TMI fast regardless of
-    budget (the paper credits TMI's speed for Fig. 6(d)). ``scope="full"``
-    uses one evaluator on the full model, so the marginals are exact
-    (used by the HAG baseline, whose cost then grows with the number of
-    selected seeds, as the paper observes). Any other ``scope`` raises
-    ``ValueError``.
+    A candidate's marginal is taken on one evaluator per candidate user,
+    on the submodel induced by the user's MIOA influence region (``base``
+    is the selected nominees inside it; the regions of the users first
+    met in a call are one search) — a bounded-cost approximation of the
+    full marginal that keeps TMI fast regardless of budget (the paper
+    credits TMI's speed for Fig. 6(d)). The candidates of one ``gains``
+    call are one :func:`~repro.core.tdsi.marginals_many` request (one
+    engine call).
     """
-    if scope not in ("local", "full"):
-        raise ValueError(f"scope must be 'local' or 'full', got {scope!r}")
-    p = model.params
+    mc = model.params.mc_plan
     selected: list[tuple[int, int]] = []
-    full = MarketEvaluator(model, 1, p.mc_plan, frozen=frozen) if scope == "full" else None
     local: dict[int, MarketEvaluator] = {}
 
-    def evaluators(users: list[int]) -> list[MarketEvaluator]:
-        if full is not None:
-            return [full] * len(users)
-        new = [u for u in dict.fromkeys(users) if u not in local]
+    def gains(pairs: list[tuple[int, int]]) -> list[float]:
+        new = [u for u in dict.fromkeys(u for u, _ in pairs) if u not in local]
         if new:
             for u, region in zip(new, influence_regions(model, [[u] for u in new])):
-                local[u] = MarketEvaluator(model.subgraph(region), 1, p.mc_plan, frozen=frozen)
-        return [local[u] for u in users]
-
-    def gains(pairs: list[tuple[int, int]]) -> list[float]:
+                local[u] = MarketEvaluator(model.subgraph(region), 1, mc)
         base = [(u, x, 1) for u, x in selected]
-        evs = evaluators([u for u, _ in pairs])
-        requests = [(ev, base, [[(u, x, 1)]]) for ev, (u, x) in zip(evs, pairs)]
+        requests = [(local[u], base, [[(u, x, 1)]]) for u, x in pairs]
         return [g for (g,) in marginals_many(requests)]
 
     pool = candidate_pool(model, max_pairs=max_pairs)

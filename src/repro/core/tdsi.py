@@ -24,7 +24,8 @@ from repro.kg.relevance import mean_weights, personal_relevance
 class MarketEvaluator:
     """σ (and π, r̄) of seed groups on one (sub)model, each group simulated once.
 
-    The seed-group evaluator of TMI, BundleGRD, CR-Greedy and TDSI/DRE;
+    The seed-group evaluator of TMI, the frozen greedy of HAG and
+    BundleGRD, CR-Greedy and TDSI/DRE;
     :func:`marginals_many` (:meth:`marginals` is its one-evaluator case)
     is the one marginal-gain request of the greedy ones.
     Seeds are given in *global* user ids and silently dropped if their

@@ -119,6 +119,12 @@ def _integral(v, what: str) -> int:
     return i
 
 
+def _check_items(model: ModelData) -> None:
+    """Reject more items than :func:`_p_act`'s uint8 count can hold."""
+    if model.n_items > MAX_ITEMS:
+        raise ValueError(f"the engine runs at most {MAX_ITEMS} items, got {model.n_items}")
+
+
 def _group_seeds(
     model: ModelData, seeds, T: int, n_samples: int
 ) -> dict[int, list[tuple[int, int]]]:
@@ -135,8 +141,7 @@ def _group_seeds(
         raise ValueError(f"T must be >= 1, got {T}")
     if T > MAX_T:
         raise ValueError(f"T must be <= {MAX_T}, got {T}")
-    if model.n_items > MAX_ITEMS:
-        raise ValueError(f"the engine runs at most {MAX_ITEMS} items, got {model.n_items}")
+    _check_items(model)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     by_t: dict[int, list[tuple[int, int]]] = {}
@@ -517,13 +522,9 @@ def _trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
         pref_x = st.pref0[blk.user[ev_gd], ev_x]
     else:
         ev_gs = blk.start[ev_s] + src
-        # Common adoptions: a 0/1 dot product, exact in uint8 (I <= MAX_ITEMS).
-        inter = np.einsum(
-            "ei,ei->e", blk.adopted[ev_gs].view(np.uint8), ad_dst.view(np.uint8)
-        )
-        union = blk.ad_count[ev_gs] + blk.ad_count[ev_gd] - inter
-        act = kernels.influence_strength(
-            st.base_inf[e_idx], inter, union, p.gamma, p.act_floor, p.act_cap
+        act = _p_act(
+            p, st.base_inf[e_idx], blk.adopted[ev_gs], ad_dst,
+            blk.ad_count[ev_gs], blk.ad_count[ev_gd],
         )
         pref_x = blk.pref[ev_gd, ev_x]
     p_promo = act * pref_x
@@ -535,10 +536,10 @@ def _trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     r_rows = np.einsum("em,emi->ei", blk.wc[ev_gd], st.s_cT[ev_x])
     p_ext = p.ext_scale * p_promo[:, None] * r_rows
     # A draw is in [0, 1), so a zero-probability trial never hits: draw
-    # extra adoptions only where P_ext > 0, for items y ≠ x not adopted.
+    # extra adoptions only where P_ext > 0, for items y not adopted. The
+    # s_c diagonal is zero (ModelData checks it), so y ≠ x is automatic.
     live = p_ext > 0
     live &= ~ad_dst
-    live[np.arange(len(ev_x)), ev_x] = False
     flat = np.flatnonzero(live)  # row-major, as np.nonzero: the same trials in order
     er = flat // I
     ey = flat - er * I
@@ -552,6 +553,18 @@ def _trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
     return np.concatenate([ev_gd[hit] * I + ev_x[hit], ev_gd[er[ext]] * I + ey[ext]])
 
 
+def _p_act(p: Params, base_inf, ad_a, ad_b, n_a, n_b) -> np.ndarray:
+    """``P_act`` of edges whose ends adopted the rows ``ad_a``/``ad_b``.
+
+    ``n_a``/``n_b`` are the rows' adoption counts. Common adoptions are a
+    0/1 dot product, exact in uint8 (``I <= MAX_ITEMS``).
+    """
+    inter = np.einsum("ei,ei->e", ad_a.view(np.uint8), ad_b.view(np.uint8))
+    return kernels.influence_strength(
+        base_inf, inter, n_a + n_b - inter, p.gamma, p.act_floor, p.act_cap
+    )
+
+
 def likelihood_pi(model: ModelData, state: WorldState) -> float:
     """``π`` of Eq. (7): likelihood of future adoptions given the state.
 
@@ -559,8 +572,10 @@ def likelihood_pi(model: ModelData, state: WorldState) -> float:
     IC form of footnote 22), aggregated over every user's not-yet-adopted
     items, weighted by preference, and averaged over samples. All
     samples are one batch of rows ``s·U + u``; each sample's sum is
-    formed on its own and the sums are added in sample order.
+    formed on its own and the sums are added in sample order. More than
+    ``MAX_ITEMS`` items raise ``ValueError``, as in the engine.
     """
+    _check_items(model)
     p = model.params
     M, U, I = state.adopted.shape
     adopted = state.adopted.reshape(M * U, I)
@@ -568,15 +583,14 @@ def likelihood_pi(model: ModelData, state: WorldState) -> float:
     offset = (np.arange(M, dtype=np.int64) * U)[:, None]
     src = (offset + model.src).ravel()
     dst = (offset + model.dst).ravel()
-    inter = (adopted[src] & adopted[dst]).sum(axis=1)
-    union = ad_count[src] + ad_count[dst] - inter
-    act = kernels.influence_strength(
-        np.tile(model.base_inf, M), inter, union, p.gamma, p.act_floor, p.act_cap
+    ad_src = adopted[src]
+    act = _p_act(
+        p, np.tile(model.base_inf, M), ad_src, adopted[dst], ad_count[src], ad_count[dst]
     )
     # Sum -log(1 - act) over the in-neighbors holding each item, in edge
     # order: np.bincount adds its weights in input order, as np.add.at
     # does, and the pairs left out would add exact zeros.
-    e, y = np.nonzero(adopted[src])
+    e, y = np.nonzero(ad_src)
     neglog = np.bincount(
         dst[e] * I + y, weights=-np.log1p(-np.minimum(act, 1 - 1e-12))[e],
         minlength=M * U * I,

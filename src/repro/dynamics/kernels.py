@@ -146,7 +146,8 @@ def update_weights(
     class, ``gain[r, m] = Σ_{y ∈ new(r)} Σ_{a ∈ A_after(r)\\{y}} s(a, y |
     m)``: each meta-graph is reinforced by the relevance its instances
     assign between the newly adopted items and everything the row now
-    owns (the diagonal of ``s`` is zero, so ``a ≠ y`` is automatic).
+    owns (``ModelData`` rejects a non-zero diagonal of ``s``, so ``a ≠ y``
+    is automatic).
 
     Rows are batched by their number ``k`` of new items: the gains of a
     batch are one ``einsum("ra,rmay->rm")`` over the gathered

@@ -36,6 +36,10 @@ class ModelData:
     the ranges of ``params``; frozen diffusion and every planner
     estimate on the initial state read them. ``wc0``/``ws0`` are the
     initial personal weightings, hashed once on first use.
+
+    ``s_c``/``s_s`` (``[n_meta, I, I]``) must have a zero diagonal (an
+    item is not related to itself): construction, :meth:`subgraph` and
+    ``dataclasses.replace`` raise ``ValueError`` otherwise.
     """
 
     n_users: int
@@ -57,6 +61,9 @@ class ModelData:
     pref0: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("s_c", "s_s"):
+            if np.diagonal(getattr(self, name), axis1=1, axis2=2).any():
+                raise ValueError(f"{name} must have a zero diagonal")
         self.src = np.asarray(self.src, dtype=np.int64)
         self.dst = np.asarray(self.dst, dtype=np.int64)
         order = np.lexsort((self.dst, self.src))

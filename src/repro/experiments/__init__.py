@@ -1,30 +1,1 @@
 """Experiment harness: one runner per evaluation table (DESIGN.md §4)."""
-from repro.experiments.harness import (
-    CellResult,
-    Runner,
-    table_t1_opt_budget,
-    table_t2_opt_T,
-    table_t3_large_budget,
-    table_t4_large_T,
-    table_t5_time_budget,
-    table_t6_time_T,
-    table_t7_scalability,
-    table_t8_metagraphs,
-    table_t9_theta,
-    to_markdown,
-)
-
-__all__ = [
-    "CellResult",
-    "Runner",
-    "table_t1_opt_budget",
-    "table_t2_opt_T",
-    "table_t3_large_budget",
-    "table_t4_large_T",
-    "table_t5_time_budget",
-    "table_t6_time_T",
-    "table_t7_scalability",
-    "table_t8_metagraphs",
-    "table_t9_theta",
-    "to_markdown",
-]

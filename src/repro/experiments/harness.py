@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines import bundlegrd, hag, opt_bruteforce, ps
+from repro.baselines.bundlegrd import bundlegrd
+from repro.baselines.hag import hag
+from repro.baselines.opt import opt_bruteforce
+from repro.baselines.ps import ps
 from repro.core.dysim import dysim
 from repro.core.nominees import MAX_PAIRS
 from repro.data.datasets import Dataset, make_dataset
@@ -64,34 +67,30 @@ class SparkCheck:
 
 
 class Runner:
-    """Caches datasets and per-cell runs across tables."""
+    """Caches datasets and per-cell runs across tables.
 
-    def __init__(
-        self,
-        *,
-        mc_eval: int = 16,
-        max_pairs: int = MAX_PAIRS,
-        params: Params = DEFAULT,
-        seed: int = 7,
-    ) -> None:
+    Datasets are built at :func:`~repro.data.datasets.make_dataset`'s
+    default seed (7); a cell runs with :data:`~repro.params.DEFAULT`
+    unless its ``params`` say otherwise.
+    """
+
+    def __init__(self, *, mc_eval: int = 16, max_pairs: int = MAX_PAIRS) -> None:
         self.mc_eval = mc_eval
         self.max_pairs = max_pairs
-        self.params = params
-        self.seed = seed
         self._datasets: dict[tuple, Dataset] = {}
         self._cells: dict[tuple, CellResult] = {}
 
     def dataset(self, name: str, *, params: Params | None = None) -> Dataset:
-        params = params or self.params
+        params = params or DEFAULT
         if (name, params) not in self._datasets:
-            self._datasets[name, params] = make_dataset(name, seed=self.seed, params=params)
+            self._datasets[name, params] = make_dataset(name, params=params)
         return self._datasets[name, params]
 
     def run(
         self, dataset: str, method: str, b: float, T: int, *, params: Params | None = None
     ) -> CellResult:
         """Plan with ``method`` and evaluate σ; cached per cell."""
-        params = params or self.params
+        params = params or DEFAULT
         key = (dataset, method, b, T, params)
         if key in self._cells:
             return self._cells[key]
@@ -306,7 +305,7 @@ def table_t9_theta(r: Runner, *, thetas=(1, 40, 120, 250), b: float = 60, T: int
     """T9 / Fig. 7(b): Dysim σ vs common-user threshold θ (amazon)."""
     rows = []
     for theta in thetas:
-        cell = r.run("amazon_lite", "dysim", b, T, params=r.params.with_(theta=theta))
+        cell = r.run("amazon_lite", "dysim", b, T, params=DEFAULT.with_(theta=theta))
         rows.append({"theta": theta, "dysim": round(cell.sigma, 1)})
     return rows
 

@@ -16,7 +16,7 @@ from repro.core.clustering import (
     initial_average_relevance,
     TargetMarket,
 )
-from repro.core.nominees import candidate_pool, select_nominees
+from repro.core.nominees import candidate_pool, frozen_greedy, select_nominees
 from repro.core.tdsi import (
     MarketEvaluator,
     marginals_many,
@@ -336,7 +336,10 @@ class TestMarketEvaluator:
     "planner",
     [
         lambda m: select_nominees(m, 12, max_pairs=40),
-        lambda m: select_nominees(m, 12, max_pairs=40, frozen=True, scope="full"),
+        lambda m: frozen_greedy(
+            m, candidate_pool(m, max_pairs=40), lambda cs: [(u, x, 1) for u, x in cs],
+            cost=lambda c: float(m.cost[c]), budget=12,
+        ),
         lambda m: bundlegrd(m, 15, 3),
     ],
     ids=["nominees-local", "nominees-full", "bundlegrd"],
@@ -370,9 +373,3 @@ def test_tmi_first_pass_is_one_search_and_one_engine_call(small, engine_calls, m
     assert len(first) == len(fits)  # one group per candidate: σ(∅) is not simulated
     assert len({id(m) for m, _ in first}) == len(users)
     assert all(len(call) <= 2 for call in later)  # CELF re-scores one candidate alone
-
-
-@pytest.mark.parametrize("scope", ["locl", "", None, "LOCAL"])
-def test_select_nominees_rejects_unknown_scope(small, scope):
-    with pytest.raises(ValueError, match="scope must be 'local' or 'full'"):
-        select_nominees(small, 12, max_pairs=40, scope=scope)

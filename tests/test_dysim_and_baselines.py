@@ -6,11 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import bundlegrd, cr_greedy_timings, hag, opt_bruteforce, ps
+from repro.baselines.bundlegrd import bundlegrd
+from repro.baselines.cr_greedy import cr_greedy_timings
+from repro.baselines.hag import hag
+from repro.baselines.opt import opt_bruteforce
+from repro.baselines.ps import ps
 from repro.core.dysim import dysim
-from repro.core.nominees import candidate_pool, lazy_greedy, select_nominees
+from repro.core.nominees import (
+    candidate_pool,
+    candidate_users,
+    frozen_greedy,
+    lazy_greedy,
+    select_nominees,
+)
 from repro.data.datasets import make_dataset
 from repro.diffusion.local import simulate
+from repro.graph.local import mioa_reach_many
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +131,10 @@ class TestCandidatePoolAndNominees:
         assert len(b) >= len(a)
 
     def test_frozen_full_scope_runs(self, small):
-        noms = select_nominees(small, budget=8, max_pairs=15, frozen=True, scope="full")
+        noms = frozen_greedy(
+            small, candidate_pool(small, max_pairs=15), lambda cs: [(u, x, 1) for u, x in cs],
+            cost=lambda c: float(small.cost[c]), budget=8,
+        )
         assert _cost(small, noms) <= 8
         assert len(noms) >= 1
 
@@ -194,6 +208,77 @@ class TestBaselines:
 
     def test_cr_greedy_empty(self, small):
         assert cr_greedy_timings(small, [], T=3) == []
+
+
+def _ps_plain_pairs(model, budget):
+    """PS's pair greedy as a plain loop that re-scores every candidate each round.
+
+    The oracle of :func:`ps`'s lazy greedy: the same scores, the best
+    score per cost first, ties by ascending ``(u, x)``.
+    """
+    cand_users = candidate_users(model)
+    mean_pref = model.pref0.mean(axis=0)
+    reach = dict(zip(cand_users, mioa_reach_many(model, [[u] for u in cand_users])))
+    cov = np.zeros((model.n_users, model.n_items))
+    selected: list[tuple[int, int]] = []
+    spent = 0.0
+    while True:
+        best = None
+        taken = set(selected)
+        for u in cand_users:
+            base = reach[u][:, None] * (1.0 - cov)
+            scores = model.importance * (1.0 + mean_pref * base.sum(axis=0))
+            for x in range(model.n_items):
+                if (u, x) in taken:
+                    continue
+                c = float(model.cost[u, x])
+                if spent + c > budget:
+                    continue
+                key = (scores[x] / c, -u, -x)
+                if best is None or key > best[0]:
+                    best = (key, u, x, c)
+        if best is None:
+            return selected
+        _, u, x, c = best
+        selected.append((u, x))
+        spent += c
+        cov[:, x] = 1.0 - (1.0 - cov[:, x]) * (1.0 - reach[u])
+
+
+_PS_CELLS = [("small100", b) for b in (4, 6, 8, 10, 12)] + [
+    (name, b)
+    for name, budgets in {
+        "yelp_lite": (15, 25, 35, 45),
+        "amazon_lite": (40, 60, 80, 100),
+        "douban_lite": (40, 60, 80, 100),
+        "gowalla_lite": (40, 60, 80, 100),
+    }.items()
+    for b in budgets
+]
+
+
+@pytest.fixture(scope="module")
+def preset_models():
+    models = {}
+
+    def get(name):
+        if name not in models:
+            models[name] = make_dataset(name).model
+        return models[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name, budget", _PS_CELLS)
+def test_ps_picks_what_plain_greedy_picks(preset_models, monkeypatch, name, budget):
+    """Every T1/T3 budget, on all five presets: PS's pairs, in pick order."""
+    model = preset_models(name)
+    monkeypatch.setattr(
+        "repro.baselines.ps.cr_greedy_timings",
+        lambda model, groups, T: [(u, x, 1) for ((u, x),) in groups],
+    )
+    got = [(u, x) for u, x, _ in ps(model, budget, 10)]
+    assert got and got == _ps_plain_pairs(model, budget)
 
 
 class TestOpt:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import harness as H
+from repro.params import DEFAULT
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ class TestRunner:
 
     def test_dataset_cache_by_params(self, runner):
         a = runner.dataset("small100")
-        b = runner.dataset("small100", params=runner.params.with_(theta=3))
+        b = runner.dataset("small100", params=DEFAULT.with_(theta=3))
         assert a is not b
         assert a is runner.dataset("small100")
 
@@ -40,7 +41,7 @@ class TestRunner:
         """The check rebuilds the dataset of the cell's own ``params``."""
         import repro.diffusion.spark_engine as engine
 
-        params = runner.params.with_(theta=3)
+        params = DEFAULT.with_(theta=3)
         cell = runner.run("small100", "ps", 6, 2, params=params)
         seen = []
 
@@ -79,8 +80,9 @@ class TestRunner:
 def test_local_path_does_not_import_pyspark():
     """Planning and σ on the local engine never load pyspark."""
     code = (
-        "import sys, repro.data.datasets, repro.experiments.harness, repro.core, "
-        "repro.baselines; assert 'pyspark' not in sys.modules, sorted(sys.modules)"
+        "import sys, repro.data.datasets, repro.experiments.harness, repro.core.dysim, "
+        "repro.baselines.bundlegrd, repro.baselines.hag, repro.baselines.ps, "
+        "repro.baselines.opt; assert 'pyspark' not in sys.modules, sorted(sys.modules)"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")

@@ -224,6 +224,14 @@ class TestLikelihoodPi:
 
         assert likelihood_pi(small, init_state(small, 2)) == 0.0
 
+    def test_items_beyond_uint8_count_rejected(self):
+        """π counts common adoptions in uint8, as the engine does."""
+        from repro.dynamics.state import init_state
+
+        m = line_model(0.5, n_items=256)
+        with pytest.raises(ValueError, match="at most 255 items, got 256"):
+            likelihood_pi(m, init_state(m, 1))
+
     @pytest.mark.parametrize("M", [1, 4, 6])
     @pytest.mark.parametrize("case", ["small100", "yelp_lite", "yelp_lite/250"])
     def test_batched_equals_per_sample(self, request, case, M):
@@ -564,14 +572,13 @@ def _dense_trials(st, blk, prefix, e_idx, ev_s, ev_x, ev_gd, frozen):
 
 
 def _saturated_model():
-    """255 items, each related to every item: users 0 and 1 share 254
-    adoptions, so common-adoption counts reach the uint8 range's top, and
-    a trial drawn on an adopted item, or on the promoted item itself (the
-    diagonal is not zero here), would likely hit."""
+    """255 items, each related to every other item: users 0 and 1 share
+    254 adoptions, so common-adoption counts reach the uint8 range's top,
+    and a trial drawn on an adopted item would likely hit."""
     I = local_engine.MAX_ITEMS
-    m = line_model(0.6, n_items=I)
-    m.s_c = np.full((1, I, I), 0.5)
-    m.s_s = np.zeros_like(m.s_c)
+    s_c = np.full((1, I, I), 0.5)
+    s_c[0, np.arange(I), np.arange(I)] = 0.0
+    m = dataclasses.replace(line_model(0.6, n_items=I), s_c=s_c, s_s=np.zeros_like(s_c))
     seeds = [(0, x, 1) for x in range(I)] + [(1, x, 1) for x in range(1, I)]
     return m, seeds
 

@@ -1,4 +1,6 @@
 """Tests for ModelData/WorldState and personal/average relevance."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,18 @@ class TestModelData:
         sub = m.subgraph(np.array([1, 2]))
         assert np.array_equal(sub.s_c, m.s_c)
         assert np.array_equal(sub.importance, m.importance)
+
+    @pytest.mark.parametrize("name", ["s_c", "s_s"])
+    def test_nonzero_diagonal_rejected(self, name):
+        """An item related to itself: construction, replace and subgraph raise."""
+        m = tiny_model()
+        bad = getattr(m, name).copy()
+        bad[1, 2, 2] = 0.1
+        with pytest.raises(ValueError, match=f"{name} must have a zero diagonal"):
+            dataclasses.replace(m, **{name: bad})
+        setattr(m, name, bad)
+        with pytest.raises(ValueError, match=f"{name} must have a zero diagonal"):
+            m.subgraph(np.arange(3))
 
 
 class TestWorldState:
