@@ -38,22 +38,6 @@ class TargetMarket:
         self.items = sorted({x for _, x in self.nominees})
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.p = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.p[a] != a:
-            self.p[a] = self.p[self.p[a]]
-            a = self.p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
-
-
 def initial_average_relevance(model: ModelData) -> tuple[np.ndarray, np.ndarray]:
     """Population-average ``(r̄^C, r̄^S)`` at the initial perceptions."""
     st = init_state(model, 1)
@@ -181,20 +165,18 @@ def group_and_order(
     markets are planned first.
     """
     n = len(markets)
-    uf = _UnionFind(n)
+    label = list(range(n))  # the lowest market of each market's group
     for i in range(n):
         for j in range(i + 1, n):
-            common = len(np.intersect1d(markets[i].users, markets[j].users))
-            if common >= theta:
-                uf.union(i, j)
+            if len(np.intersect1d(markets[i].users, markets[j].users)) >= theta:
+                lo, hi = sorted((label[i], label[j]))
+                label = [lo if k == hi else k for k in label]
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+    for i, k in enumerate(label):
+        groups.setdefault(k, []).append(i)
     ordered = []
-    for root in groups:
-        g = groups[root]
+    for g in groups.values():
         ae = antagonistic_extent(markets, g, r_bar_s)
-        g_sorted = sorted(g, key=lambda i: (ae[i], i))
-        ordered.append(g_sorted)
+        ordered.append(sorted(g, key=lambda i: (ae[i], i)))
     ordered.sort(key=lambda g: (-sum(len(markets[i].nominees) for i in g), g[0]))
     return ordered

@@ -26,7 +26,7 @@ from repro.kg.metagraphs import (
     relevance_table_pandas,
     relevance_tensor,
 )
-from repro.params import DEFAULT, Params
+from repro.params import DEFAULT
 
 
 @dataclass
@@ -73,12 +73,15 @@ class Dataset:
         return self.model.n_items
 
 
-def make_dataset(name: str, *, seed: int = 7, params: Params = DEFAULT) -> Dataset:
+def make_dataset(name: str, *, seed: int = 7) -> Dataset:
     """Build a preset deterministically.
 
     The meta-graph relevance tensors are counted over the whole
     :data:`DEFAULT_METAGRAPHS` library with the pandas path (equality-
-    tested against the Spark one).
+    tested against the Spark one). The model runs with
+    :data:`~repro.params.DEFAULT`; other parameters are
+    ``dataclasses.replace(ds.model, params=…)``, which rebuilds no
+    tensor.
     """
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
@@ -109,7 +112,7 @@ def make_dataset(name: str, *, seed: int = 7, params: Params = DEFAULT) -> Datas
         base_pref=base_pref,
         importance=importance,
         cost=cost,
-        params=params,
+        params=DEFAULT,
         seed=seed,
     )
     return Dataset(

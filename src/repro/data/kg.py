@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.kg.metagraphs import IN_CAT, IN_TIER, MADE_BY, SUPPORTS  # noqa: F401
+from repro.kg.metagraphs import IN_CAT, IN_TIER, MADE_BY, SUPPORTS
 
 ITEM, FEATURE, BRAND, CATEGORY, TIER = "ITEM", "FEATURE", "BRAND", "CATEGORY", "TIER"
 N_TIERS = 3

@@ -13,7 +13,10 @@ This is the *reference semantics* of the diffusion process of Sec. III:
 * at the end of a step, users with new adoptions update their
   meta-graph weightings (hence relevance, preferences and influence
   strength — the ripple of Fig. 3);
-* a promotion ends when a step produces no new adoption.
+* a promotion ends when a step produces no new adoption, or after
+  ``params.max_steps`` steps, whichever comes first. The cap does bind:
+  in the large presets' cells, new adoptions are still rising at step
+  10 (the default cap), so σ there is the spread of a cut-off process.
 
 All randomness is keyed through :mod:`repro.rng`, so two runs (or the
 local and Spark engines) that see the same ``(model.seed, sample, t,

@@ -30,12 +30,8 @@ def normalize_rows(w: np.ndarray) -> np.ndarray:
     """
     w = np.maximum(np.asarray(w, dtype=np.float64), 0.0)
     tot = w.sum(axis=-1, keepdims=True)
-    if (tot > 0).all():
-        return w / tot
-    uniform = np.full_like(w, 1.0 / w.shape[-1])
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(tot > 0, w / tot, uniform)
-    return out
+        return np.where(tot > 0, w / tot, 1.0 / w.shape[-1])
 
 
 def init_weights(users: np.ndarray, n_meta: int, seed: int, tag: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from repro.core.dysim import dysim
 from repro.core.nominees import MAX_PAIRS
 from repro.data.datasets import Dataset, make_dataset
 from repro.diffusion.local import simulate
+from repro.dynamics.state import ModelData
 from repro.params import DEFAULT, Params
 
 METHODS = ("dysim", "bundlegrd", "hag", "ps")
@@ -39,7 +40,7 @@ class CellResult:
     """One (dataset, method, b, T) run: planning time + evaluated σ.
 
     ``params`` is the parameter set the cell ran with, so
-    :meth:`Runner.spark_check` can rebuild its model.
+    :meth:`Runner.spark_check` can derive its model.
     """
 
     dataset: str
@@ -48,7 +49,6 @@ class CellResult:
     T: int
     sigma: float
     seconds: float
-    n_seeds: int
     seeds: list = field(repr=False, default_factory=list)
     params: Params = DEFAULT
 
@@ -69,22 +69,28 @@ class SparkCheck:
 class Runner:
     """Caches datasets and per-cell runs across tables.
 
-    Datasets are built at :func:`~repro.data.datasets.make_dataset`'s
-    default seed (7); a cell runs with :data:`~repro.params.DEFAULT`
-    unless its ``params`` say otherwise.
+    Datasets are built once per name, at
+    :func:`~repro.data.datasets.make_dataset`'s default seed (7). A cell
+    runs on its dataset's model with :data:`~repro.params.DEFAULT`
+    unless its ``params`` say otherwise; then the model is
+    ``dataclasses.replace(model, params=…)``.
     """
 
     def __init__(self, *, mc_eval: int = 16, max_pairs: int = MAX_PAIRS) -> None:
         self.mc_eval = mc_eval
         self.max_pairs = max_pairs
-        self._datasets: dict[tuple, Dataset] = {}
+        self._datasets: dict[str, Dataset] = {}
         self._cells: dict[tuple, CellResult] = {}
 
-    def dataset(self, name: str, *, params: Params | None = None) -> Dataset:
-        params = params or DEFAULT
-        if (name, params) not in self._datasets:
-            self._datasets[name, params] = make_dataset(name, params=params)
-        return self._datasets[name, params]
+    def dataset(self, name: str) -> Dataset:
+        if name not in self._datasets:
+            self._datasets[name] = make_dataset(name)
+        return self._datasets[name]
+
+    def _model(self, dataset: str, params: Params) -> ModelData:
+        """``dataset``'s model with ``params``: the cached one, or a replaced copy."""
+        model = self.dataset(dataset).model
+        return model if params == model.params else dataclasses.replace(model, params=params)
 
     def run(
         self, dataset: str, method: str, b: float, T: int, *, params: Params | None = None
@@ -94,7 +100,7 @@ class Runner:
         key = (dataset, method, b, T, params)
         if key in self._cells:
             return self._cells[key]
-        model = self.dataset(dataset, params=params).model
+        model = self._model(dataset, params)
         t0 = time.perf_counter()
         if method == "dysim":
             seeds = dysim(model, b, T, max_pairs=self.max_pairs).seeds
@@ -110,21 +116,21 @@ class Runner:
             raise KeyError(f"unknown method {method!r}")
         seconds = time.perf_counter() - t0
         sigma = simulate(model, seeds, T, self.mc_eval).sigma
-        cell = CellResult(dataset, method, b, T, sigma, seconds, len(seeds), seeds, params)
+        cell = CellResult(dataset, method, b, T, sigma, seconds, seeds, params)
         self._cells[key] = cell
         return cell
 
     def spark_check(
         self, spark, cell: CellResult, *, n_samples: int | None = None
     ) -> SparkCheck:
-        """Evaluate a cell on both engines, on its own dataset; compare with ``==``.
+        """Evaluate a cell on both engines, on its own model; compare with ``==``.
 
         The adoption logs, σ and ``σ_by_t`` must be equal: the Spark
         engine runs the local one on shards of the samples.
         """
         from repro.diffusion.spark_engine import simulate_spark
 
-        model = self.dataset(cell.dataset, params=cell.params).model
+        model = self._model(cell.dataset, cell.params)
         M = n_samples or self.mc_eval
         loc = simulate(model, cell.seeds, cell.T, M)
         sp = simulate_spark(spark, model, cell.seeds, cell.T, M)

@@ -43,8 +43,9 @@ import pandas as pd
 if TYPE_CHECKING:
     from pyspark.sql import DataFrame, SparkSession
 
-# KG edge-type names (canonical here; repro.data.kg re-exports them —
-# the data package imports from kg, never the reverse, to avoid cycles).
+# KG edge-type names (canonical here; repro.data.kg's generator imports
+# them — the data package imports from kg, never the reverse, to avoid
+# cycles).
 SUPPORTS, MADE_BY, IN_CAT, IN_TIER = "SUPPORTS", "MADE_BY", "IN_CAT", "IN_TIER"
 
 COMP, SUBS = "C", "S"

@@ -26,8 +26,9 @@ class Params:
       catalogue; the paper's learned ``P_ext`` is likewise small).
     * ``pref_floor`` — minimum preference (paper's ``P_minpref > 0``).
     * ``act_floor`` / ``act_cap`` — clip range for influence strength.
-    * ``max_steps`` — safety cap on diffusion steps per promotion
-      (diffusion also stops when no new adoption happens).
+    * ``max_steps`` — cap on diffusion steps per promotion (diffusion
+      stops earlier when no new adoption happens; in the large presets'
+      cells the cap is what ends a promotion).
 
     Dysim (Sec. IV):
 

@@ -28,7 +28,6 @@ from repro.diffusion.local import likelihood_pi, simulate, simulate_groups
 from repro.dynamics.state import ModelData
 from repro.graph.local import mioa_reach, mioa_reach_many
 from repro.kg.relevance import average_relevance
-from repro.params import DEFAULT
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +65,8 @@ class TestIdentifyTargetMarkets:
         cap = max(2, -(-len(noms) // 3))
         assert all(len(mk.nominees) <= cap for mk in markets)
 
-    def test_market_cap_respected(self):
-        m = make_dataset("small100", params=DEFAULT.with_(market_cap=10)).model
+    def test_market_cap_respected(self, small):
+        m = dataclasses.replace(small, params=small.params.with_(market_cap=10))
         rc, rs = initial_average_relevance(m)
         markets = identify_target_markets(m, [(0, 0)], rc, rs)
         assert len(markets[0].users) <= 11  # cap + the nominee user
@@ -117,6 +116,12 @@ class TestGrouping:
         groups = group_and_order([m1, m2, m3], theta=1, r_bar_s=rs)
         sets = sorted(tuple(sorted(g)) for g in groups)
         assert sets == [(0, 1), (2,)]
+
+    def test_later_link_merges_two_groups(self):
+        """Links 0–3, then 1–2, then 2–3 join two existing groups into one."""
+        markets = [self._mk(u, [0]) for u in ([10, 11], [20, 21], [21, 30], [11, 30], [40])]
+        groups = group_and_order(markets, theta=1, r_bar_s=np.zeros((1, 1)))
+        assert groups == [[0, 1, 2, 3], [4]]
 
     def test_theta_blocks_small_overlap(self):
         m1 = self._mk([1, 2, 3], [0])

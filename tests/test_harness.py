@@ -25,20 +25,35 @@ class TestRunner:
     def test_cell_fields(self, runner):
         c = runner.run("small100", "ps", 6, 2)
         assert c.dataset == "small100" and c.method == "ps"
-        assert c.sigma > 0 and c.seconds > 0 and c.n_seeds == len(c.seeds)
+        assert c.sigma > 0 and c.seconds > 0 and c.seeds
 
     def test_unknown_method(self, runner):
         with pytest.raises(KeyError):
             runner.run("small100", "nope", 5, 2)
 
-    def test_dataset_cache_by_params(self, runner):
-        a = runner.dataset("small100")
-        b = runner.dataset("small100", params=DEFAULT.with_(theta=3))
-        assert a is not b
-        assert a is runner.dataset("small100")
+    def test_dataset_cache_by_params(self, runner, monkeypatch):
+        """A cell with its own ``params`` builds no second dataset."""
+        ds = runner.dataset("small100")
+        assert ds is runner.dataset("small100")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a params cell built a dataset again")
+
+        seen, plan = [], H.ps
+
+        def spy(model, b, T):
+            seen.append(model)
+            return plan(model, b, T)
+
+        monkeypatch.setattr(H, "make_dataset", no_build)
+        monkeypatch.setattr(H, "ps", spy)
+        params = DEFAULT.with_(theta=3)
+        cell = runner.run("small100", "ps", 6, 3, params=params)
+        assert cell.params == params and runner.dataset("small100") is ds
+        assert seen[0].params == params and seen[0].s_c is ds.model.s_c
 
     def test_spark_check_uses_the_cells_dataset(self, runner, monkeypatch, local_as_spark):
-        """The check rebuilds the dataset of the cell's own ``params``."""
+        """The check evaluates the cell's dataset with the cell's own ``params``."""
         import repro.diffusion.spark_engine as engine
 
         params = DEFAULT.with_(theta=3)
@@ -52,8 +67,9 @@ class TestRunner:
         monkeypatch.setattr(engine, "simulate_spark", fake)
         check = runner.spark_check(None, cell)
         assert check.mismatches == [] and check.spark_sigma == cell.sigma
-        assert seen[0] is runner.dataset("small100", params=params).model
-        assert seen[0] is not runner.dataset("small100").model
+        base = runner.dataset("small100").model
+        assert seen[0].params == params and base.params == DEFAULT
+        assert seen[0].s_c is base.s_c and seen[0].base_pref is base.base_pref
 
     @pytest.mark.parametrize("what", ["log", "sigma", "sigma_by_t"])
     def test_spark_check_compares_log_sigma_and_sigma_by_t(

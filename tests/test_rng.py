@@ -102,6 +102,8 @@ class TestKeyForms:
             fold(1, key)
         with pytest.raises(ValueError):
             u01(key, 2)
+        with pytest.raises(ValueError):  # an array accumulator, as the engine folds
+            fold_from(fold(7, np.arange(3)), key)
 
 
 class TestU01:
