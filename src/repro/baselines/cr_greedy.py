@@ -35,7 +35,7 @@ def cr_greedy_timings(
     if not groups:
         return []
     sub = model.subgraph(influence_region(model, [u for g in groups for u, _ in g]))
-    ev = MarketEvaluator(sub, T, model.params.mc_plan)
+    ev = MarketEvaluator(sub, T)
     stride = max(1, -(-T // MAX_TIMINGS))  # ceil(T / MAX_TIMINGS)
     grid = list(range(1, T + 1, stride))
 

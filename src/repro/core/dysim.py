@@ -69,7 +69,7 @@ def dysim(
         prev_last_t = 0
         for k in group:
             tau = markets[k]
-            ev = MarketEvaluator(tau.submodel, T, p.mc_plan)
+            ev = MarketEvaluator(tau.submodel, T)
             T_market = max(1, round(len(tau.nominees) * T / max(1, total_nominees)))
 
             items_left = sorted({x for _, x in tau.nominees})

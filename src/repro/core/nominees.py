@@ -108,7 +108,7 @@ def frozen_greedy(model: ModelData, cands, seeds_of, *, cost, budget: float) -> 
     model, so the gains are exact and their cost grows with the number
     of picks (as the paper observes of HAG).
     """
-    ev = MarketEvaluator(model, 1, model.params.mc_plan, frozen=True)
+    ev = MarketEvaluator(model, 1, frozen=True)
     picks: list = []
 
     def gains(cs) -> list[float]:
@@ -139,7 +139,6 @@ def select_nominees(
     call are one :func:`~repro.core.tdsi.marginals_many` request (one
     engine call).
     """
-    mc = model.params.mc_plan
     selected: list[tuple[int, int]] = []
     local: dict[int, MarketEvaluator] = {}
 
@@ -147,7 +146,7 @@ def select_nominees(
         new = [u for u in dict.fromkeys(u for u, _ in pairs) if u not in local]
         if new:
             for u, region in zip(new, influence_regions(model, [[u] for u in new])):
-                local[u] = MarketEvaluator(model.subgraph(region), 1, mc)
+                local[u] = MarketEvaluator(model.subgraph(region), 1)
         base = [(u, x, 1) for u, x in selected]
         requests = [(local[u], base, [[(u, x, 1)]]) for u, x in pairs]
         return [g for (g,) in marginals_many(requests)]

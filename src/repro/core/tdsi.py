@@ -36,15 +36,13 @@ class MarketEvaluator:
     :func:`marginals_many` does so for the requests of several
     evaluators at once; a σ-only request (:meth:`sigmas`) computes no π
     and simulates no empty group.
+    Each group is simulated on ``submodel.params.mc_plan`` samples;
     ``frozen`` selects the dynamics-blind diffusion.
     """
 
-    def __init__(
-        self, submodel: ModelData, T: int, n_samples: int, *, frozen: bool = False
-    ) -> None:
+    def __init__(self, submodel: ModelData, T: int, *, frozen: bool = False) -> None:
         self.submodel = submodel
         self.T = T
-        self.n_samples = n_samples
         self.frozen = frozen
         self._local = {int(g): i for i, g in enumerate(submodel.orig_users)}
         # σ(∅) is exactly 0.0 on the engine: never simulated for σ alone.
@@ -95,12 +93,13 @@ def _request(requests, with_pi: bool) -> list[list[tuple]]:
 
     The groups missing from their evaluator's cache are simulated in one
     :func:`simulate_groups` call over the evaluators' submodels, so the
-    evaluators must share ``T``, ``n_samples`` and ``frozen``
-    (``ValueError`` otherwise). A σ-only request computes no π.
+    evaluators must share ``T`` and ``frozen`` (``ValueError`` otherwise),
+    and the engine rejects submodels of unequal ``params`` (hence
+    ``mc_plan``). A σ-only request computes no π.
     """
-    settings = {(ev.T, ev.n_samples, ev.frozen) for ev, _ in requests}
+    settings = {(ev.T, ev.frozen) for ev, _ in requests}
     if len(settings) > 1:
-        raise ValueError("evaluators of one request must share T, n_samples and frozen")
+        raise ValueError("evaluators of one request must share T and frozen")
     keys = [[ev._localize(g) for g in groups] for ev, groups in requests]
     missing: dict[tuple[MarketEvaluator, tuple], None] = {}
     for (ev, _), ev_keys in zip(requests, keys):
@@ -108,10 +107,10 @@ def _request(requests, with_pi: bool) -> list[list[tuple]]:
         missing.update(((ev, k), None) for k in ev_keys if k not in cache)
     if not missing:
         return keys
-    ((T, n_samples, frozen),) = settings
+    ((T, frozen),) = settings
+    models = [ev.submodel for ev, _ in missing]
     runs = simulate_groups(
-        [ev.submodel for ev, _ in missing], [k for _, k in missing], T, n_samples,
-        frozen=frozen,
+        models, [k for _, k in missing], T, models[0].params.mc_plan, frozen=frozen
     )
     for (ev, key), res in zip(missing, runs):
         ev._sigma[key] = res.sigma

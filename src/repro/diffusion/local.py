@@ -29,26 +29,28 @@ runs many groups in one pass, each on its own model or all on one, and
 subgraphs of one instance (TMI scores every candidate on its own
 influence region in one call); their distinct members are *stacked*:
 their users, edges and initial values concatenated once per call, the
-relevance tensors and parameters shared. The groups are taken in chunks
-of at most ``BLOCK_ROWS`` user rows (at least one group); a chunk's
-(group, sample) pairs are its *virtual samples*, stepped in blocks of
-ragged rows: virtual sample ``j`` owns one row per user of its group's
-model, ``start[j] + u`` for local user ``u``, and a frontier pair is a
-row and an item. A block holds at most ``BLOCK_ROWS`` user rows (at
-least one virtual sample): all 16 σ samples of an amazon_lite group, or
-20 small100 groups of 16 samples. A chunk's state costs ``3·I + 64``
-bytes a user row (``adopted``, ``adopt_t``, the 3 + 3 meta-graph
-weightings, the row's virtual sample and stacked user) and a block's
-preference cache ``8·I`` more, so a full chunk holds ~19 MB on
-amazon_lite (``I = 48``) and ~31 MB on gowalla_lite (``I = 80``); the
-per-event ``[events, I]`` arrays and the preference rows are formed
-``CHUNK_ROWS`` at a time (~2 MB on amazon_lite), which bounds the rest.
-No size changes a result: every draw is keyed by the global sample
+relevance tensors and parameters shared. The groups are cut into
+*blocks* of at most ``BLOCK_ROWS`` user rows, at least one group each,
+so a larger group is a block of its own. A block's (group, sample)
+pairs are its *virtual samples*, stepped together as ragged rows:
+virtual sample ``j`` owns one row per user of its group's model,
+``start[j] + u`` for local user ``u``, and a frontier pair is a row and
+an item. A block holds, for example, all 16 σ samples of an amazon_lite
+group, or 20 small100 groups of 16 samples. Its state costs ``11·I + 73``
+bytes a user row (``adopted``, ``adopt_t``, the cached preference row,
+the 3 + 3 meta-graph weightings, the adoption count, the row's virtual
+sample and stacked user, and the cache flag; a frozen block keeps no
+preference rows, ``8·I`` less), so a full block holds ~20 MB on
+amazon_lite (``I = 48``) and ~31 MB on gowalla_lite (``I = 80``), and
+douban_lite's σ at M = 16, one group of 41,600 rows (``I = 64``), ~32 MB.
+The per-event ``[events, I]`` arrays and the preference rows are formed
+in *chunks* of ``CHUNK_ROWS`` (~2 MB on amazon_lite), which bounds the
+rest. No size changes a result: every draw is keyed by the global sample
 index and the model's local user ids, never by the group or the row,
 each row's state is its own, and the kernels give the same bits for any
 batch (DESIGN.md §2, "Exactness of the batched engine"). The trial keys
 are folded in stages: ``(seed, TAG_TRIAL, salt, sample)`` once per
-chunk, ``(t, ζ)`` once per step, ``(u', u, x)`` once per promotion
+block, ``(t, ζ)`` once per step, ``(u', u, x)`` once per promotion
 event, and each trial continues its event's fold with its ``y``.
 
 A chunk of events takes its extra-adoption trials from one flat mask
@@ -58,7 +60,7 @@ decides every trial on the integers (:func:`repro.rng.below`: the draw's
 top 53 bits against ``p · 2⁵³``, which is ``u < p`` exactly). The engine
 runs at most ``MAX_ITEMS`` = 255 items (common adoptions are counted in
 uint8) and ``MAX_T`` = 32767 promotions (``adopt_t`` is int16). σ of a
-chunk's groups is one count (:func:`repro.diffusion.sigma.sigma_groups`).
+block's groups is one count (:func:`repro.diffusion.sigma.sigma_groups`).
 
 ``frozen=True`` freezes ``P_pref``/``P_act``/``r^C`` at their initial
 (nothing-adopted) values and skips weight updates — this is the static
@@ -231,15 +233,14 @@ def _stack(models: list[ModelData]) -> _Stack:
 
 @dataclass
 class _Block:
-    """Virtual samples ``j = 0 … n−1`` of a chunk, as ragged user rows.
+    """Virtual samples ``j = 0 … n−1`` of a block, as ragged user rows.
 
-    Virtual sample ``j`` is a global sample ``s`` of the chunk's seed
+    Virtual sample ``j`` is a global sample ``s`` of the block's seed
     group ``grp[j]``; ``key[j]`` is its trial keys ``(seed, TAG_TRIAL,
     salt, s)`` folded, which each step continues with ``(t, ζ)``. It
     owns the rows ``start[j] + u`` for the users ``u`` of its group's
     submodel; row ``r`` belongs to virtual sample ``samp[r]`` and is
-    stacked user ``user[r]``. ``adopted``/``wc``/``ws``/``adopt_t`` are
-    row views into the chunk's arrays. ``pref`` caches ``P_pref`` rows
+    stacked user ``user[r]``. ``pref`` caches ``P_pref`` rows
     in dynamic mode; ``pref_ok`` marks the rows still current (a row
     goes stale when its user adopts or re-weights).
     """
@@ -302,10 +303,10 @@ def simulate_groups(
     the sample and the submodel-local users, never by the group, so
     which groups share a block changes no draw. Every group is checked
     before any is simulated; a bad one raises ``ValueError`` naming its
-    index. The results come lazily, one chunk of groups at a time
+    index. The results come lazily, one block of groups at a time
     (:func:`_run_groups`), so a caller that keeps only σ holds the state
-    of one chunk (at most ``BLOCK_ROWS`` user rows, or one group: ~19 MB
-    on amazon_lite, see the module docstring), not of every group.
+    of one block (at most ``BLOCK_ROWS`` user rows, or one larger group:
+    ~20 MB on amazon_lite, see the module docstring), not of every group.
     """
     groups = list(groups)
     if isinstance(model, ModelData):
@@ -324,11 +325,11 @@ def simulate_groups(
 
 
 def _run_groups(models, by_ts, T, n_samples, frozen, salt, first_sample) -> Iterator[SimResult]:
-    """Simulate the groups in chunks of at most ``BLOCK_ROWS`` user rows.
+    """Simulate the groups in blocks of at most ``BLOCK_ROWS`` user rows.
 
     The distinct models are stacked (and checked to be of one instance)
-    before any group is simulated. A chunk holds at least one group; a
-    group larger than a block has its samples split over several blocks.
+    before any group is simulated. A block holds at least one group, so
+    a group of more than ``BLOCK_ROWS`` rows is a block of its own.
     """
     if not by_ts:
         return iter(())
@@ -340,7 +341,7 @@ def _run_groups(models, by_ts, T, n_samples, frozen, salt, first_sample) -> Iter
     return (
         res
         for a, b in _cuts(rows)
-        for res in _run_chunk(st, sub[a:b], by_ts[a:b], T, n_samples, frozen, salt, first_sample)
+        for res in _run_block(st, sub[a:b], by_ts[a:b], T, n_samples, frozen, salt, first_sample)
     )
 
 
@@ -357,8 +358,8 @@ def _cuts(sizes) -> list[tuple[int, int]]:
     return cuts
 
 
-def _run_chunk(st, sub, by_ts, T, n_samples, frozen, salt, first_sample) -> list[SimResult]:
-    """The results of one chunk of groups; their arrays are views of the chunk's.
+def _run_block(st, sub, by_ts, T, n_samples, frozen, salt, first_sample) -> list[SimResult]:
+    """The results of one block of groups; their arrays are views of the block's.
 
     Group ``k``'s virtual samples are ``k·n_samples …``, each owning
     the rows of one sample of its submodel, so its rows are contiguous.
@@ -373,27 +374,22 @@ def _run_chunk(st, sub, by_ts, T, n_samples, frozen, salt, first_sample) -> list
     adopted = np.zeros((start[-1], I), dtype=bool)
     adopt_t = np.zeros((start[-1], I), dtype=np.int16)
     wc, ws = st.wc0[user], st.ws0[user]
-    seeds = _seed_table(by_ts, T)
     samples = np.arange(first_sample, first_sample + n_samples)
-    key = np.tile(fold(st.seed, TAG_TRIAL, salt, samples), len(by_ts))
-
-    for j0, j1 in _cuts(size):
-        r0, r1 = start[j0], start[j1]
-        blk = _Block(
-            grp=grp[j0:j1],
-            key=key[j0:j1],
-            start=start[j0:j1] - r0,
-            samp=samp[r0:r1] - j0,
-            user=user[r0:r1],
-            adopted=adopted[r0:r1],
-            wc=wc[r0:r1],
-            ws=ws[r0:r1],
-            adopt_t=adopt_t[r0:r1],
-            ad_count=np.zeros(r1 - r0, dtype=np.int64),
-            pref=np.empty((0, I) if frozen else (r1 - r0, I)),
-            pref_ok=np.zeros(r1 - r0, dtype=bool),
-        )
-        _run_block(st, blk, seeds, T, frozen)
+    blk = _Block(
+        grp=grp,
+        key=np.tile(fold(st.seed, TAG_TRIAL, salt, samples), len(by_ts)),
+        start=start[:-1],
+        samp=samp,
+        user=user,
+        adopted=adopted,
+        wc=wc,
+        ws=ws,
+        adopt_t=adopt_t,
+        ad_count=np.zeros(start[-1], dtype=np.int64),
+        pref=np.empty((0, I) if frozen else (start[-1], I)),
+        pref_ok=np.zeros(start[-1], dtype=bool),
+    )
+    _campaign(st, blk, _seed_table(by_ts, T), T, frozen)
 
     sigma, sigma_by_t = sigma_groups(adopt_t, grp[samp], len(by_ts), n_samples, st.importance, T)
     results = []
@@ -427,7 +423,8 @@ def _seed_table(by_ts, T) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]
     return table
 
 
-def _run_block(st, blk, seeds, T, frozen) -> None:
+def _campaign(st, blk, seeds, T, frozen) -> None:
+    """Run the ``T`` promotions of a block, step by step."""
     for t in range(1, T + 1):
         # --- step 0: seeds adopt their items outright -----------------
         f_g, f_x = _EMPTY, _EMPTY

@@ -5,7 +5,7 @@ adoption is absorbing (a user never re-adopts), summing the
 per-promotion new adoptions equals counting each (user, item) adoption
 once at its promotion — which is what ``adopt_t`` records. Both engines
 compute σ here: the local engine from its own ``adopt_t``, one count per
-chunk of seed groups (:func:`sigma_groups`), the Spark engine from the
+block of seed groups (:func:`sigma_groups`), the Spark engine from the
 ``adopt_t`` it rebuilds from the collected log (:func:`sigma_from_adopt_t`,
 the one-group case), so the two give the same bits.
 """

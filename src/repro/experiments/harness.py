@@ -131,7 +131,7 @@ class Runner:
         from repro.diffusion.spark_engine import simulate_spark
 
         model = self._model(cell.dataset, cell.params)
-        M = n_samples or self.mc_eval
+        M = self.mc_eval if n_samples is None else n_samples
         loc = simulate(model, cell.seeds, cell.T, M)
         sp = simulate_spark(spark, model, cell.seeds, cell.T, M)
         s, u, x = np.nonzero(loc.adopt_t)

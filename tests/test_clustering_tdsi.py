@@ -214,10 +214,15 @@ def engine_calls(monkeypatch):
     return log
 
 
+def _mc(model: ModelData, k: int) -> ModelData:
+    """``model`` with ``k`` planning samples (``params.mc_plan``)."""
+    return dataclasses.replace(model, params=model.params.with_(mc_plan=k))
+
+
 class TestMarketEvaluator:
     def test_caching(self, small, engine_calls):
         sub = small.subgraph(np.arange(30))
-        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        ev = MarketEvaluator(_mc(sub, 4), T=3)
         a = ev.sigma_pi([(0, 0, 1)])
         b = ev.sigma_pi([(0, 0, 1)])
         assert a == b
@@ -225,14 +230,14 @@ class TestMarketEvaluator:
 
     def test_out_of_market_seeds_dropped(self, small):
         sub = small.subgraph(np.arange(30))
-        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        ev = MarketEvaluator(_mc(sub, 4), T=3)
         a = ev.sigma_pi([(0, 0, 1), (99, 0, 1)])  # 99 outside
         b = ev.sigma_pi([(0, 0, 1)])
         assert a == b
 
     def test_one_simulation_per_seed_group(self, small, engine_calls):
         sub = small.subgraph(np.arange(30))
-        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        ev = MarketEvaluator(_mc(sub, 4), T=3)
         group = [(0, 0, 1), (5, 1, 2), (99, 0, 1)]  # 99 is outside the market
         rc, rs = ev.average_relevance(group)
         ev.sigma_pi(group)
@@ -247,7 +252,7 @@ class TestMarketEvaluator:
         assert ev.sigma_pi(group) == (fresh.sigma, likelihood_pi(sub, fresh.state))
 
     def test_one_engine_call_per_request(self, small, engine_calls):
-        ev = MarketEvaluator(small, T=2, n_samples=3)
+        ev = MarketEvaluator(_mc(small, 3), T=2)
         groups = [[(0, 0, 1)], [(5, 1, 2), (0, 0, 1)], [], [(9, 2, 1)]]
         first = ev.sigmas(groups)
         assert len(engine_calls["calls"]) == 1
@@ -262,7 +267,7 @@ class TestMarketEvaluator:
 
     def test_empty_group_sigma_is_not_simulated(self, small, engine_calls):
         sub = small.subgraph(np.arange(30))
-        ev = MarketEvaluator(sub, T=3, n_samples=4)
+        ev = MarketEvaluator(_mc(sub, 4), T=3)
         assert ev.sigmas([[]]) == [simulate(sub, [], 3, 4).sigma]
         assert ev.sigmas([[(99, 0, 1)]]) == [0.0]  # outside the market: empty too
         assert engine_calls["calls"] == []
@@ -270,7 +275,7 @@ class TestMarketEvaluator:
         assert [[g for _, g in call] for call in engine_calls["calls"]] == [[[]]]
 
     def test_sigma_only_request_computes_no_pi(self, small, engine_calls):
-        ev = MarketEvaluator(small.subgraph(np.arange(40)), T=3, n_samples=4)
+        ev = MarketEvaluator(_mc(small.subgraph(np.arange(40)), 4), T=3)
         ev.sigmas([[(0, 0, 1)], [(0, 0, 1), (3, 1, 2)], []])
         assert engine_calls["pi"] == 0
         si = substantial_influence(ev, [(0, 0, 1)], [(3, 1, 1), (3, 1, 2)], T=3)
@@ -281,23 +286,24 @@ class TestMarketEvaluator:
     def test_marginals_equal_sigma_differences(self, small, base):
         sub = small.subgraph(np.arange(30))
         ext = [[(3, 1, 1)], [(3, 1, 2), (7, 0, 1)], [(99, 2, 1)], []]
-        got = MarketEvaluator(sub, T=3, n_samples=4).marginals(base, ext)
-        s0, *s = MarketEvaluator(sub, T=3, n_samples=4).sigmas([base] + [base + e for e in ext])
+        got = MarketEvaluator(_mc(sub, 4), T=3).marginals(base, ext)
+        s0, *s = MarketEvaluator(_mc(sub, 4), T=3).sigmas([base] + [base + e for e in ext])
         assert got == [s1 - s0 for s1 in s]
         assert got[2:] == [0.0, 0.0]  # out-of-market and empty extensions add nothing
 
     def test_marginals_many_equal_per_evaluator_marginals(self, small, engine_calls):
-        subs = [small.subgraph(np.arange(30)), small.subgraph(np.arange(20, 70)), small]
+        small3 = _mc(small, 3)
+        subs = [small3.subgraph(np.arange(30)), small3.subgraph(np.arange(20, 70)), small3]
         base = [(21, 0, 1), (5, 1, 1)]
         exts = [[[(25, 1, 1)], [(3, 2, 1)]], [[(40, 0, 1)]], [[(61, 0, 1)], [(62, 2, 1)], []]]
         requests = [
-            (MarketEvaluator(sm, T=2, n_samples=3), base, ext) for sm, ext in zip(subs, exts)
+            (MarketEvaluator(sm, T=2), base, ext) for sm, ext in zip(subs, exts)
         ]
         got = marginals_many(requests + [(requests[0][0], [], exts[0][:1])])
         assert len(engine_calls["calls"]) == 1  # every evaluator's groups, one call
         assert {id(m) for m, _ in engine_calls["calls"][0]} == {id(sm) for sm in subs}
         want = [
-            MarketEvaluator(sm, T=2, n_samples=3).marginals(base, ext)
+            MarketEvaluator(sm, T=2).marginals(base, ext)
             for sm, ext in zip(subs, exts)
         ]
         assert got[:3] == want
@@ -306,29 +312,30 @@ class TestMarketEvaluator:
 
     def test_marginals_many_needs_shared_settings(self, small):
         sub = small.subgraph(np.arange(30))
-        a = MarketEvaluator(sub, T=2, n_samples=3)
-        for b in [
-            MarketEvaluator(sub, T=3, n_samples=3),
-            MarketEvaluator(sub, T=2, n_samples=4),
-            MarketEvaluator(sub, T=2, n_samples=3, frozen=True),
+        a = MarketEvaluator(_mc(sub, 3), T=2)
+        for b, match in [
+            (MarketEvaluator(_mc(sub, 3), T=3), "share T and frozen"),
+            (MarketEvaluator(_mc(sub, 3), T=2, frozen=True), "share T and frozen"),
+            # Unequal sample counts are unequal params: the engine rejects them.
+            (MarketEvaluator(_mc(sub, 4), T=2), "subgraphs of one instance"),
         ]:
-            with pytest.raises(ValueError, match="share T, n_samples and frozen"):
+            with pytest.raises(ValueError, match=match):
                 marginals_many([(a, [], [[(0, 0, 1)]]), (b, [], [[(1, 0, 1)]])])
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_sigma_equals_simulate(self, small, frozen):
         group = [(61, 0, 1), (61, 2, 1), (39, 5, 1)]
-        full = MarketEvaluator(small, T=1, n_samples=6, frozen=frozen)
+        full = MarketEvaluator(_mc(small, 6), T=1, frozen=frozen)
         assert full.sigmas([group]) == [simulate(small, group, 1, 6, frozen=frozen).sigma]
         sub = small.subgraph(np.arange(20, 70))
-        local = MarketEvaluator(sub, T=1, n_samples=6, frozen=frozen)
+        local = MarketEvaluator(_mc(sub, 6), T=1, frozen=frozen)
         in_sub = [(u - 20, x, t) for u, x, t in group]
         want = simulate(sub, in_sub, 1, 6, frozen=frozen).sigma
         assert local.sigmas([group + [(99, 0, 1)]]) == [want]
 
     def test_si_increases_with_viable_candidate(self, small):
         sub = small.subgraph(np.arange(50))
-        ev = MarketEvaluator(sub, T=3, n_samples=8)
+        ev = MarketEvaluator(_mc(sub, 8), T=3)
         (si,) = substantial_influence(ev, [], [(0, 0, 1)], T=3)
         assert np.isfinite(si)
         # Seeding someone adds at least their own adoption to sigma.

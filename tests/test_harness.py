@@ -71,6 +71,18 @@ class TestRunner:
         assert seen[0].params == params and base.params == DEFAULT
         assert seen[0].s_c is base.s_c and seen[0].base_pref is base.base_pref
 
+    def test_spark_check_zero_samples_rejected(self, runner, monkeypatch, local_as_spark):
+        """``n_samples=0`` reaches the engine's check instead of meaning the default."""
+        import repro.diffusion.spark_engine as engine
+
+        def fake(spark, model, seeds, T, n_samples):
+            return local_as_spark(model, seeds, T, n_samples)
+
+        monkeypatch.setattr(engine, "simulate_spark", fake)
+        cell = runner.run("small100", "ps", 6, 2)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            runner.spark_check(None, cell, n_samples=0)
+
     @pytest.mark.parametrize("what", ["log", "sigma", "sigma_by_t"])
     def test_spark_check_compares_log_sigma_and_sigma_by_t(
         self, runner, monkeypatch, local_as_spark, what

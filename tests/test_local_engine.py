@@ -326,6 +326,7 @@ class TestSampleBatchingExact:
     @pytest.mark.parametrize("preset", ["small100", "amazon_lite"])
     @pytest.mark.parametrize("frozen", [False, True])
     def test_block_and_chunk_sizes(self, request, monkeypatch, preset, frozen):
+        """One group is one block at any ``BLOCK_ROWS``; its events run one by one."""
         model, seeds = _case(request, preset)
         M = 3 if preset == "amazon_lite" else 4
         want = simulate(model, seeds, T=3, n_samples=M, frozen=frozen)
@@ -351,15 +352,20 @@ class TestSampleBatchingExact:
         assert np.array_equal(part.state.ws, full.state.ws[lo:hi])
         assert part.adopt_t.any()
 
-    def test_flagship_block_equals_one_sample_blocks(self, amazon, monkeypatch):
+    def test_flagship_block_equals_one_sample_blocks(self, amazon):
         """The flagship group's 16 samples, stepped as one block or one by one."""
-        assert local_engine.BLOCK_ROWS >= 16 * amazon.n_users  # one block by default
         got = simulate(amazon, _FLAGSHIP_SEEDS, T=10, n_samples=16)
-        monkeypatch.setattr(local_engine, "BLOCK_ROWS", amazon.n_users)
-        want = simulate(amazon, _FLAGSHIP_SEEDS, T=10, n_samples=16)
-        assert _same_run(got, want)
-        assert got.sigma == want.sigma == 596.683551567824
-        assert np.array_equal(got.sigma_by_t, want.sigma_by_t)
+        one = [
+            simulate(amazon, _FLAGSHIP_SEEDS, T=10, n_samples=1, first_sample=s)
+            for s in range(16)
+        ]
+        adopt_t = np.concatenate([r.adopt_t for r in one])
+        assert np.array_equal(got.adopt_t, adopt_t)
+        assert np.array_equal(got.state.wc, np.concatenate([r.state.wc for r in one]))
+        assert np.array_equal(got.state.ws, np.concatenate([r.state.ws for r in one]))
+        sigma, by_t = sigma_from_adopt_t(adopt_t, amazon.importance, 10)
+        assert got.sigma == sigma == 596.683551567824
+        assert np.array_equal(got.sigma_by_t, by_t)
 
     def test_negative_offset_rejected(self, small):
         with pytest.raises(ValueError, match="first_sample"):
@@ -418,9 +424,9 @@ class TestSimulateGroupsExact:
         if sizes == "one":
             monkeypatch.setattr(local_engine, "BLOCK_ROWS", 1)
             monkeypatch.setattr(local_engine, "CHUNK_ROWS", 1)
-        elif sizes == "split":  # one group per chunk, its samples in blocks of 2 and 1
+        elif sizes == "split":  # the groups split one per block, each over BLOCK_ROWS
             monkeypatch.setattr(local_engine, "BLOCK_ROWS", 2 * U)
-        elif sizes == "two-groups":  # two groups share each chunk and block
+        elif sizes == "two-groups":  # two groups share each block
             monkeypatch.setattr(local_engine, "BLOCK_ROWS", (2 * _M + 1) * U)
         got = list(local_engine.simulate_groups(
             model, _GROUPS[preset], T=3, n_samples=_M, frozen=frozen, trial_salt=salt
@@ -437,7 +443,7 @@ class TestSimulateGroupsExact:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before every group was checked")
 
-        monkeypatch.setattr(local_engine, "_run_chunk", no_simulation)
+        monkeypatch.setattr(local_engine, "_run_block", no_simulation)
         groups = [[(0, 0, 1)], [], [(0, 0, 1), (3, 0, 1.5)], [(0, -1, 1)]]
         with pytest.raises(ValueError, match=r"seed group 2: seed timing 1\.5"):
             list(local_engine.simulate_groups(small, groups, T=3, n_samples=2))
@@ -495,8 +501,9 @@ class TestSimulateGroupsSubmodels:
             monkeypatch.setattr(local_engine, "BLOCK_ROWS", 1)
             monkeypatch.setattr(local_engine, "CHUNK_ROWS", 1)
         elif sizes == "split":
-            # Blocks of two full-model samples: the full-model group is
-            # split over two blocks, and smaller groups share chunks.
+            # Blocks of two full-model samples' rows: the full-model group
+            # (three samples) is a block of its own, larger than
+            # BLOCK_ROWS, and smaller groups share blocks.
             monkeypatch.setattr(local_engine, "BLOCK_ROWS", 2 * model.n_users)
             cuts = local_engine._cuts(np.array([_M * m.n_users for m in models]))
             assert (2, 3) in cuts and any(b - a > 1 for a, b in cuts)
@@ -507,7 +514,7 @@ class TestSimulateGroupsSubmodels:
             assert _same_run(a, b)
             assert a.sigma == b.sigma
             assert np.array_equal(a.sigma_by_t, b.sigma_by_t)
-            # The chunk's one σ count gives each group its own count's bits.
+            # The block's one σ count gives each group its own count's bits.
             sigma, by_t = sigma_from_adopt_t(a.adopt_t, m.importance, 3)
             assert a.sigma == sigma and np.array_equal(a.sigma_by_t, by_t)
         assert sum(r.sigma > 0 for r in want) == len(want) - 1

@@ -80,7 +80,7 @@ def _per_promotion(adopt_t, importance, T):
 
 
 class TestSigmaGroups:
-    """One count over a chunk gives every group its own ``sigma_from_adopt_t`` bits."""
+    """One count over a block gives every group its own ``sigma_from_adopt_t`` bits."""
 
     @pytest.mark.parametrize("M", [1, 3, 16])
     @pytest.mark.parametrize("I, T", [(7, 3), (48, 10), (255, 2)])
